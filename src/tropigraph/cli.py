@@ -3,13 +3,16 @@
 Graphs travel on stdin/stdout in graph6 or edge-list form; representations
 and reports are JSON documents tagged with "schema": "tropigraph/1".
 Exit codes: 0 success / verified, 1 verification found violations, 2 usage
-or input errors (one-line diagnostic on stderr).
+or input errors (one-line diagnostic on stderr), 141 stdout closed by its
+reader before the output was written (silent, like a process ended by
+SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .demos import fund_overlap, student_pairing
@@ -19,9 +22,8 @@ from .representations import (
     Representation,
     caterpillar_rep_for_graph,
     cycle_rep_for_graph,
-    maxplus_from_cover,
+    from_cover,
     maxplus_generic,
-    minplus_from_intersection,
     minplus_generic,
     multipartite_rep_for_graph,
     rescale,
@@ -50,36 +52,30 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_METHOD_ALGEBRA = {
-    "generic": {"min", "max"},
-    "caterpillar": {"min"},
-    "multipartite": {"min"},
-    "cover": {"max"},
-    "intersection": {"min"},
-    "cycle3": {"min"},
+# --method name -> algebra -> builder(graph, t, exact_limit).  A builder may
+# return another threshold; _cmd_repr rescales the result to t.
+_METHODS = {
+    "generic": {
+        "min": lambda g, t, limit: minplus_generic(g, t),
+        "max": lambda g, t, limit: maxplus_generic(g, t),
+    },
+    "caterpillar": {"min": lambda g, t, limit: caterpillar_rep_for_graph(g)},
+    "cover": {"max": lambda g, t, limit: from_cover(g, theta(g, limit).cover, t)},
+    "intersection": {"min": lambda g, t, limit: from_cover(g, theta_hat(g, limit).cover, t)},
+    "cycle3": {"min": lambda g, t, limit: cycle_rep_for_graph(g)},
+    "multipartite": {"min": lambda g, t, limit: multipartite_rep_for_graph(g)},
 }
 
 
 def _cmd_repr(args) -> int:
-    if args.algebra not in _METHOD_ALGEBRA[args.method]:
+    builders = _METHODS[args.method]
+    if args.algebra not in builders:
         raise BadParameter(
-            f"method {args.method!r} supports algebra "
-            f"{sorted(_METHOD_ALGEBRA[args.method])}, got {args.algebra!r}"
+            f"method {args.method!r} supports algebra {sorted(builders)}, got {args.algebra!r}"
         )
     g = _read_graph(sys.stdin.read(), args.format)
     t = as_fraction(args.t)
-    if args.method == "generic":
-        rep = minplus_generic(g, t) if args.algebra == "min" else maxplus_generic(g, t)
-    elif args.method == "caterpillar":
-        rep = caterpillar_rep_for_graph(g)
-    elif args.method == "multipartite":
-        rep = multipartite_rep_for_graph(g)
-    elif args.method == "cover":
-        rep = maxplus_from_cover(g, theta(g, args.exact_limit).cover, t)
-    elif args.method == "intersection":
-        rep = minplus_from_intersection(g, theta_hat(g, args.exact_limit).cover, t)
-    else:
-        rep = cycle_rep_for_graph(g)
+    rep = builders[args.algebra](g, t, args.exact_limit)
     if rep.t != t:
         rep = rescale(rep, t)
     print(json.dumps(rep.to_json(), indent=2))
@@ -180,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repr", help="build a representation for the graph on stdin")
     p.add_argument("--algebra", choices=["min", "max"], required=True)
-    p.add_argument("--method", choices=sorted(_METHOD_ALGEBRA), required=True)
+    p.add_argument("--method", choices=sorted(_METHODS), required=True)
     p.add_argument("--t", default="1")
     p.add_argument("--exact-limit", type=int, default=None)
     add_format(p)
@@ -216,7 +212,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`).  Point stdout at devnull
+        # so that the interpreter's final flush stays quiet as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except TropigraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -234,46 +234,43 @@ def threshold_1dim(g: Graph, t: Rationalish = 1, algebra: Algebra = MIN_PLUS) ->
     return Representation(algebra, realization.threshold, vectors)
 
 
-def maxplus_from_cover(g: Graph, cover: CoverSolution, t: Rationalish = 1) -> Representation:
-    """Max-plus representation of dimension |parts| from a union cover.
+def from_cover(g: Graph, cover: CoverSolution, t: Rationalish = 1) -> Representation:
+    """Representation of dimension |parts| from a threshold cover of g.
 
-    Coordinate j holds each vertex's exact threshold weight inside part j;
-    the maximum reaches t exactly on pairs that are edges of some part,
-    and the parts' union is the whole edge set.  An empty cover (edgeless
-    graph) becomes a single empty part so the dimension stays >= 1.
+    Coordinate j holds each vertex's exact threshold weight inside part j,
+    so a pair's coordinate-j sum reaches t exactly when it is an edge of
+    part j.  A union cover gives max-plus (some part holds the pair: the
+    parts' union is g), an intersection cover gives min-plus (every part
+    holds it: their intersection is g).  An empty cover (edgeless graph
+    under union, complete graph under intersection) becomes the single
+    part it stands for, so the dimension stays >= 1.
     """
-    if cover.mode is not CoverMode.UNION:
-        raise InvalidCover("max-plus construction needs a union-mode cover")
     validate_cover(g, cover)
-    parts = cover.parts or (frozenset(),)
+    if cover.mode is CoverMode.UNION:
+        algebra, whole = MAX_PLUS, frozenset()
+    else:
+        algebra, whole = MIN_PLUS, frozenset(combinations(range(g.n), 2))
     tf = as_fraction(t)
-    weightings = [threshold_weights(Graph(g.n, part), tf) for part in parts]
+    weightings = [threshold_weights(Graph(g.n, part), tf) for part in cover.parts or (whole,)]
     vectors = tuple(
         TropicalVector(tuple(_fin(w.weights[v]) for w in weightings))
         for v in range(g.n)
     )
-    return Representation(MAX_PLUS, tf, vectors)
+    return Representation(algebra, tf, vectors)
+
+
+def maxplus_from_cover(g: Graph, cover: CoverSolution, t: Rationalish = 1) -> Representation:
+    """from_cover restricted to union covers (max-plus)."""
+    if cover.mode is not CoverMode.UNION:
+        raise InvalidCover("max-plus construction needs a union-mode cover")
+    return from_cover(g, cover, t)
 
 
 def minplus_from_intersection(g: Graph, cover: CoverSolution, t: Rationalish = 1) -> Representation:
-    """Min-plus representation of dimension |parts| from an intersection cover.
-
-    Coordinate i holds the vertex's weight in intersection part i (a
-    threshold graph containing every edge of g); the minimum reaches t
-    exactly on pairs present in all parts, i.e. on the edges of g.  An
-    empty cover (complete graph) becomes the single all-pairs part.
-    """
+    """from_cover restricted to intersection covers (min-plus)."""
     if cover.mode is not CoverMode.INTERSECTION:
         raise InvalidCover("min-plus construction needs an intersection-mode cover")
-    validate_cover(g, cover)
-    parts = cover.parts or (frozenset(combinations(range(g.n), 2)),)
-    tf = as_fraction(t)
-    weightings = [threshold_weights(Graph(g.n, part), tf) for part in parts]
-    vectors = tuple(
-        TropicalVector(tuple(_fin(w.weights[v]) for w in weightings))
-        for v in range(g.n)
-    )
-    return Representation(MIN_PLUS, tf, vectors)
+    return from_cover(g, cover, t)
 
 
 # -- caterpillars ----------------------------------------------------------------
@@ -287,18 +284,31 @@ def _spine_vector(i: int, k: int) -> tuple[Fraction, Fraction]:
     return (Fraction(k + d, k + d + 1), Fraction(1, k + d + 1))
 
 
-def _caterpillar_vectors(
-    spine_positions: list[int], leaf_owner_positions: list[int], k: int
-) -> list[TropicalVector]:
+CaterpillarLayout = list[tuple[list[int], dict[int, list[int]]]]
+
+
+def _caterpillar_rep(n: int, layout: CaterpillarLayout, k_offset: int) -> Representation:
+    """Two-dimensional min-plus representation of a labeled caterpillar forest.
+
+    layout lists, per component, the spine vertices in path order and the
+    leaves hanging off each spine index (the form caterpillar_structure
+    returns).  Spine positions continue across components with a gap of
+    2, so the end of one spine and the start of the next are never
+    consecutive and hence never adjacent.
+    """
+    if k_offset < 2:
+        raise BadSpec("caterpillar construction needs k_offset >= 2")
     one = Fraction(1)
-    out = []
-    for i in spine_positions:
-        a, b = _spine_vector(i, k)
-        out.append(TropicalVector((_fin(a), _fin(b))))
-    for i in leaf_owner_positions:
-        a, b = _spine_vector(i, k)
-        out.append(TropicalVector((_fin(one - a), _fin(one - b))))
-    return out
+    vectors: list[TropicalVector | None] = [None] * n
+    start = 1
+    for spine, leaves in layout:
+        for offset, v in enumerate(spine):
+            a, b = _spine_vector(start + offset, k_offset)
+            vectors[v] = TropicalVector((_fin(a), _fin(b)))
+            for leaf in leaves.get(offset, ()):
+                vectors[leaf] = TropicalVector((_fin(one - a), _fin(one - b)))
+        start += len(spine) + 1
+    return Representation(MIN_PLUS, one, tuple(vectors))  # type: ignore[arg-type]
 
 
 def caterpillar_2dim(spec: CaterpillarSpec, k_offset: int = 2) -> Representation:
@@ -310,13 +320,7 @@ def caterpillar_2dim(spec: CaterpillarSpec, k_offset: int = 2) -> Representation
     leaf-spine dot is exactly 1.  Consecutive spine dots are exactly 1 and
     all other pairs fall strictly below 1.
     """
-    if k_offset < 2:
-        raise BadSpec("caterpillar construction needs k_offset >= 2")
-    counts = spec.leaf_counts()
-    spine_positions = list(range(1, spec.spine + 1))
-    leaf_owners = [i + 1 for i, c in enumerate(counts) for _ in range(c)]
-    vectors = _caterpillar_vectors(spine_positions, leaf_owners, k_offset)
-    return Representation(MIN_PLUS, Fraction(1), tuple(vectors))
+    return forest_of_caterpillars([spec], k_offset)
 
 
 def forest_of_caterpillars(
@@ -324,23 +328,22 @@ def forest_of_caterpillars(
 ) -> Representation:
     """Two-dimensional min-plus representation of a disjoint caterpillar forest.
 
-    Spine positions continue across components with a gap of 2, so the end
-    of one spine and the start of the next are never consecutive and hence
-    never adjacent; t = 1.  Vertices follow the disjoint-union layout.
+    Vertices follow the disjoint-union layout of the caterpillar graphs,
+    which is known from the specs, so nothing is recognised; t = 1.
     """
     if not specs:
         raise BadSpec("forest needs at least one caterpillar")
-    if k_offset < 2:
-        raise BadSpec("caterpillar construction needs k_offset >= 2")
-    vectors: list[TropicalVector] = []
-    start = 1
+    layout: CaterpillarLayout = []
+    first = 0
     for spec in specs:
-        counts = spec.leaf_counts()
-        spine_positions = list(range(start, start + spec.spine))
-        leaf_owners = [start + i for i, c in enumerate(counts) for _ in range(c)]
-        vectors.extend(_caterpillar_vectors(spine_positions, leaf_owners, k_offset))
-        start += spec.spine + 1
-    return Representation(MIN_PLUS, Fraction(1), tuple(vectors))
+        nxt = first + spec.spine
+        leaves = {}
+        for i, count in enumerate(spec.leaf_counts()):
+            leaves[i] = list(range(nxt, nxt + count))
+            nxt += count
+        layout.append((list(range(first, first + spec.spine)), leaves))
+        first = nxt
+    return _caterpillar_rep(first, layout, k_offset)
 
 
 # -- joins, multipartite graphs, cycles ------------------------------------------
@@ -373,10 +376,26 @@ def join_clique(rep: Representation, n_clique: int) -> Representation:
     return Representation(rep.algebra, rep.t, rep.vectors + (all_t,) * n_clique)
 
 
-def _multipartite_vectors(g: Graph, parts: list[list[int]]) -> Representation:
+def multipartite_rep_for_graph(g: Graph) -> Representation:
+    """Min-plus representation of a complete multipartite graph as labeled, t = 1.
+
+    The parts are the components of the complement, which must be
+    cliques.  Vertices of non-singleton part j get 0 at coordinate j and 1
+    elsewhere: cross-part dots are exactly 1, same-part dots exactly 0.
+    Singleton parts are universal vertices and get the all-ones vector, so
+    m singletons shrink the dimension from k to k - m.  With at most one
+    non-singleton part the graph is threshold and one dimension suffices.
+    """
+    comp = g.complement()
+    parts = [sorted(c) for c in sorted(comp.components(), key=min)]
+    for part in parts:
+        for u, v in combinations(part, 2):
+            if not comp.has_edge(u, v):
+                raise BadParameter("graph is not complete multipartite")
+    if len(parts) < 2:
+        raise BadParameter("complete multipartite needs at least two parts")
     big = [p for p in parts if len(p) > 1]
     if len(big) < 2:
-        # At most one non-singleton part: the graph is threshold.
         return threshold_1dim(g, 1, MIN_PLUS)
     membership = {v: j for j, part in enumerate(big) for v in part}
     zero, one = _fin(0), _fin(1)
@@ -394,35 +413,36 @@ def _multipartite_vectors(g: Graph, parts: list[list[int]]) -> Representation:
 
 
 def multipartite_kdim(sizes: list[int] | tuple[int, ...]) -> Representation:
-    """Min-plus representation of the complete multipartite graph at t = 1.
+    """Min-plus representation of complete_multipartite(sizes) at t = 1."""
+    return multipartite_rep_for_graph(complete_multipartite(sizes))
 
-    Vertices of non-singleton part j get 0 at coordinate j and 1 elsewhere:
-    cross-part dots are exactly 1, same-part dots exactly 0.  Singleton
-    parts are universal vertices and get the all-ones vector, so m
-    singletons shrink the dimension from k to k - m.  With at most one
-    non-singleton part the graph is threshold and one dimension suffices.
+
+def cycle_rep_for_graph(g: Graph) -> Representation:
+    """Three-dimensional min-plus representation of a labeled cycle, n >= 5.
+
+    Composition: walk the cycle from vertex 0, represent the path along
+    the walk's first n - 1 vertices in two dimensions with the caterpillar
+    construction, then extend by the closing vertex.
     """
-    if len(sizes) < 2:
-        raise BadParameter("complete multipartite needs at least two parts")
-    g = complete_multipartite(list(sizes))
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(list(range(start, start + s)))
-        start += s
-    return _multipartite_vectors(g, parts)
+    if g.n < 5:
+        raise BadParameter("cycle construction needs n >= 5")
+    if any(g.degree(v) != 2 for v in range(g.n)) or len(g.components()) != 1:
+        raise BadParameter("graph is not a single cycle")
+    walk = [0, min(g.neighbors(0))]
+    while len(walk) < g.n:
+        nxt = [u for u in g.neighbors(walk[-1]) if u != walk[-2]]
+        walk.append(nxt[0])
+    path_rep = caterpillar_2dim(CaterpillarSpec(g.n - 1))
+    rep = minplus_extend_vertex(path_rep, cycle(g.n), g.n - 1)
+    vectors: list[TropicalVector | None] = [None] * g.n
+    for pos, v in enumerate(walk):
+        vectors[v] = rep.vectors[pos]
+    return Representation(MIN_PLUS, rep.t, tuple(vectors))  # type: ignore[arg-type]
 
 
 def cycle_3dim(n: int) -> Representation:
-    """Three-dimensional min-plus representation of the n-cycle, n >= 5.
-
-    Composition: represent the path on vertices 0..n-2 in two dimensions
-    with the caterpillar construction, then extend by the closing vertex.
-    """
-    if n < 5:
-        raise BadParameter("cycle construction needs n >= 5")
-    path_rep = caterpillar_2dim(CaterpillarSpec(n - 1))
-    return minplus_extend_vertex(path_rep, cycle(n), n - 1)
+    """Three-dimensional min-plus representation of cycle(n), n >= 5."""
+    return cycle_rep_for_graph(cycle(n))
 
 
 # -- structure recognition for the CLI -------------------------------------------
@@ -444,7 +464,7 @@ def _bfs_farthest(g: Graph, start: int, allowed: frozenset[int]) -> tuple[int, d
     return best, parents
 
 
-def caterpillar_structure(g: Graph) -> list[tuple[list[int], dict[int, list[int]]]]:
+def caterpillar_structure(g: Graph) -> CaterpillarLayout:
     """Decompose a caterpillar forest into (spine, leaves-by-spine-index) parts.
 
     Each component must be a tree whose non-spine vertices are degree-1
@@ -480,49 +500,4 @@ def caterpillar_structure(g: Graph) -> list[tuple[list[int], dict[int, list[int]
 
 def caterpillar_rep_for_graph(g: Graph, k_offset: int = 2) -> Representation:
     """Two-dimensional min-plus representation of a caterpillar forest as labeled."""
-    if k_offset < 2:
-        raise BadSpec("caterpillar construction needs k_offset >= 2")
-    structure = caterpillar_structure(g)
-    vectors: list[TropicalVector | None] = [None] * g.n
-    start = 1
-    for spine, leaves in structure:
-        for offset, v in enumerate(spine):
-            a, b = _spine_vector(start + offset, k_offset)
-            vectors[v] = TropicalVector((_fin(a), _fin(b)))
-        one = Fraction(1)
-        for pos, leaf_list in leaves.items():
-            a, b = _spine_vector(start + pos, k_offset)
-            for v in leaf_list:
-                vectors[v] = TropicalVector((_fin(one - a), _fin(one - b)))
-        start += len(spine) + 1
-    return Representation(MIN_PLUS, Fraction(1), tuple(vectors))  # type: ignore[arg-type]
-
-
-def multipartite_rep_for_graph(g: Graph) -> Representation:
-    """Min-plus representation of a complete multipartite graph as labeled."""
-    comp = g.complement()
-    parts = [sorted(c) for c in sorted(comp.components(), key=min)]
-    for part in parts:
-        for u, v in combinations(part, 2):
-            if not comp.has_edge(u, v):
-                raise BadParameter("graph is not complete multipartite")
-    if len(parts) < 2:
-        raise BadParameter("complete multipartite needs at least two parts")
-    return _multipartite_vectors(g, parts)
-
-
-def cycle_rep_for_graph(g: Graph) -> Representation:
-    """Three-dimensional min-plus representation of a labeled cycle, n >= 5."""
-    if g.n < 5:
-        raise BadParameter("cycle construction needs n >= 5")
-    if any(g.degree(v) != 2 for v in range(g.n)) or len(g.components()) != 1:
-        raise BadParameter("graph is not a single cycle")
-    walk = [0, min(g.neighbors(0))]
-    while len(walk) < g.n:
-        nxt = [u for u in g.neighbors(walk[-1]) if u != walk[-2]]
-        walk.append(nxt[0])
-    rep = cycle_3dim(g.n)
-    vectors: list[TropicalVector | None] = [None] * g.n
-    for pos, v in enumerate(walk):
-        vectors[v] = rep.vectors[pos]
-    return Representation(MIN_PLUS, rep.t, tuple(vectors))  # type: ignore[arg-type]
+    return _caterpillar_rep(g.n, caterpillar_structure(g), k_offset)

@@ -18,15 +18,9 @@ from typing import Iterator, Sequence
 
 from .errors import BadParameter, DimensionMismatch, TooLarge, VertexMismatch
 from .graphs import Graph, to_graph6
-from .representations import (
-    Representation,
-    maxplus_from_cover,
-    minplus_from_intersection,
-)
+from .representations import Representation, from_cover
 from .threshold import (
     SCHEMA,
-    CoverMode,
-    CoverSolution,
     complement_cover,
     star_cover,
     theta,
@@ -146,19 +140,6 @@ class DimensionResult:
         return data
 
 
-def _pad_union(cover: CoverSolution) -> CoverSolution:
-    if cover.parts:
-        return cover
-    return CoverSolution(CoverMode.UNION, (frozenset(),), cover.n)
-
-
-def _pad_intersection(cover: CoverSolution) -> CoverSolution:
-    if cover.parts:
-        return cover
-    every = frozenset(combinations(range(cover.n), 2))
-    return CoverSolution(CoverMode.INTERSECTION, (every,), cover.n)
-
-
 def rho(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> DimensionResult:
     """Both tropical dimensions of g; degrades to bounds past the search limits.
 
@@ -172,31 +153,31 @@ def rho(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> Di
         res = theta(g, limit, edge_limit)
         max_value = max(res.value, 1)
         max_bounds = (max_value, max_value)
-        max_cover = _pad_union(res.cover)
+        max_cover = res.cover
     except TooLarge:
         exact = False
         lo, up = theta_bounds(g)
         max_value = max(up, 1)
         max_bounds = (max(lo, 1), max_value)
-        max_cover = _pad_union(star_cover(g))
+        max_cover = star_cover(g)
     try:
         res = theta_hat(g, limit, edge_limit)
         min_value = max(res.value, 1)
         min_bounds = (min_value, min_value)
-        min_cover = _pad_intersection(res.cover)
+        min_cover = res.cover
     except TooLarge:
         exact = False
         comp = g.complement()
         lo, up = theta_bounds(comp)
         min_value = max(up, 1)
         min_bounds = (max(lo, 1), min_value)
-        min_cover = _pad_intersection(complement_cover(star_cover(comp)))
+        min_cover = complement_cover(star_cover(comp))
     return DimensionResult(
         rho_min_plus=min_value,
         rho_max_plus=max_value,
         method="exact" if exact else "bounds",
-        witness_min_plus=minplus_from_intersection(g, min_cover),
-        witness_max_plus=maxplus_from_cover(g, max_cover),
+        witness_min_plus=from_cover(g, min_cover),
+        witness_max_plus=from_cover(g, max_cover),
         min_plus_bounds=None if exact else min_bounds,
         max_plus_bounds=None if exact else max_bounds,
     )

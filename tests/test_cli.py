@@ -1,9 +1,14 @@
 """End-to-end command-line behavior, including exit codes and round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropigraph
 from tropigraph import (
     Representation,
     complete,
@@ -16,7 +21,7 @@ from tropigraph import (
     to_graph6,
     verify,
 )
-from tropigraph.cli import main
+from tropigraph.cli import _METHODS, main
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -61,19 +66,23 @@ def test_gen_dim_pipeline(capsys, monkeypatch):
     assert data["method"] == "exact"
 
 
+# A graph that each repr method's construction applies to.  The round-trip
+# cases come from the method table, so a method added there without a graph
+# here fails at collection.
+_METHOD_GRAPH = {
+    "generic": path(6),
+    "caterpillar": path(6),
+    "cover": path(6),
+    "intersection": path(6),
+    "cycle3": cycle(6),
+    "multipartite": complete_multipartite([2, 3]),
+}
+
+
 @pytest.mark.parametrize(
     "graph,algebra,method",
-    [
-        (path(6), "min", "generic"),
-        (path(6), "max", "generic"),
-        (path(6), "min", "caterpillar"),
-        (path(6), "max", "cover"),
-        (path(6), "min", "intersection"),
-        (cycle(6), "min", "cycle3"),
-        (complete_multipartite([2, 3]), "min", "multipartite"),
-        (cycle(4), "min", "intersection"),
-        (cycle(4), "max", "cover"),
-    ],
+    [(_METHOD_GRAPH[m], a, m) for m, builders in _METHODS.items() for a in builders]
+    + [(cycle(4), "min", "intersection"), (cycle(4), "max", "cover")],
 )
 def test_repr_verify_round_trip(capsys, monkeypatch, tmp_path, graph, algebra, method):
     g6 = to_graph6(graph)
@@ -119,6 +128,22 @@ def test_repr_algebra_method_mismatch_exits_2(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "method,algebra",
+    [(m, a) for m, builders in _METHODS.items() for a in ("min", "max") if a not in builders],
+)
+def test_repr_unsupported_algebra_exits_2(capsys, monkeypatch, method, algebra):
+    code, out, err = run_cli(
+        capsys,
+        ["repr", "--algebra", algebra, "--method", method],
+        stdin=to_graph6(_METHOD_GRAPH[method]),
+        monkeypatch=monkeypatch,
+    )
+    supported = sorted(_METHODS[method])
+    assert (code, out) == (2, "")
+    assert err == f"error: method {method!r} supports algebra {supported}, got {algebra!r}\n"
 
 
 def test_verify_detects_mismatch_exit_1(capsys, tmp_path, monkeypatch):
@@ -216,3 +241,27 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["repr", "--method", "generic"])  # missing --algebra
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--family", "path", "--params", "6"], ["conjecture", "--n-max", "4"]]
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader is gone before anything is written, as with `| head` on a
+    # long output: no traceback, no "error:" line, exit status 141
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(tropigraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropigraph.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

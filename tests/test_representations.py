@@ -34,6 +34,7 @@ from tropigraph import (
     disjoint_union,
     empty,
     forest_of_caterpillars,
+    from_cover,
     join_clique,
     matching,
     maxplus_from_cover,
@@ -297,6 +298,21 @@ def test_cover_constructions_reject_wrong_mode():
         maxplus_from_cover(g, theta(path(4)).cover)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [path(6), star(3), star(4), cycle(4), matching(2), empty(3), complete(3)],
+    ids=["P6", "star3", "star4", "C4", "2K2", "empty3", "K3"],
+)
+def test_from_cover_equals_the_old_names(g):
+    union, inter = theta(g).cover, theta_hat(g).cover
+    assert from_cover(g, union) == maxplus_from_cover(g, union)
+    assert from_cover(g, union).algebra is MAX_PLUS
+    assert from_cover(g, inter, 3) == minplus_from_intersection(g, inter, 3)
+    assert from_cover(g, inter, 3).algebra is MIN_PLUS
+    for cover in (union, inter):
+        assert verify(g, from_cover(g, cover)).valid
+
+
 # -- caterpillars ------------------------------------------------------------------------
 
 
@@ -470,6 +486,16 @@ def test_multipartite_degenerate_threshold_cases():
         multipartite_kdim([4])
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [[1, 1], [2, 1], [1, 3], [1, 1, 1], [2, 2], [3, 3], [2, 2, 1], [1, 2, 2],
+     [3, 1, 2, 1], [1, 1, 5], [2, 3, 4], [4, 4, 4, 4], [1, 2, 3, 4]],
+)
+def test_multipartite_kdim_equals_rep_for_graph(sizes):
+    g = complete_multipartite(sizes)
+    assert multipartite_kdim(sizes) == multipartite_rep_for_graph(g)
+
+
 # -- cycles -------------------------------------------------------------------------------
 
 
@@ -480,6 +506,11 @@ def test_cycle_3dim():
         assert verify(cycle(n), rep).valid
     with pytest.raises(BadParameter):
         cycle_3dim(4)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 16, 17, 39])
+def test_cycle_3dim_equals_rep_for_graph(n):
+    assert cycle_3dim(n) == cycle_rep_for_graph(cycle(n))
 
 
 # -- structure recognition (CLI paths) ------------------------------------------------------
