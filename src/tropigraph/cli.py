@@ -102,16 +102,10 @@ def _cmd_slices(args) -> int:
     rep = _load_rep(args.rep)
     slices = project_slices(rep)
     realized = realize_graph(rep.vectors, rep.t, rep.algebra)
-    if rep.algebra is MAX_PLUS:
-        law = "union"
-        combined = slices[0]
-        for s in slices[1:]:
-            combined = combined.union(s)
-    else:
-        law = "intersection"
-        combined = slices[0]
-        for s in slices[1:]:
-            combined = combined.intersection(s)
+    law = "union" if rep.algebra is MAX_PLUS else "intersection"
+    combined = slices[0]
+    for s in slices[1:]:
+        combined = getattr(combined, law)(s)
     print(
         json.dumps(
             {

@@ -36,7 +36,7 @@ from .tropical import (
     TropicalValue,
     TropicalVector,
     as_fraction,
-    trop_dot,
+    realize_masks,
 )
 
 
@@ -101,16 +101,6 @@ class Representation:
 
 def _fin(x: Rationalish) -> TropicalValue:
     return TropicalValue.finite(x)
-
-
-def _represents(rep: Representation, g: Graph) -> bool:
-    if rep.n != g.n:
-        return False
-    thr = _fin(rep.t)
-    return all(
-        (trop_dot(rep.vectors[u], rep.vectors[v], rep.algebra) >= thr) == g.has_edge(u, v)
-        for u, v in combinations(range(g.n), 2)
-    )
 
 
 # -- existence constructions ---------------------------------------------------
@@ -191,7 +181,9 @@ def minplus_extend_vertex(rep: Representation, g: Graph, v: int) -> Representati
             f"representation covers {rep.n} vertices, expected {g.n - 1}"
         )
     rest = [u for u in range(g.n) if u != v]
-    if not _represents(rep, g.induced(rest)):
+    below = g.induced(rest)
+    realized = realize_masks(rep.vectors, rep.t, MIN_PLUS)
+    if realized != [below.adjacency_mask(u) for u in below.vertices()]:
         raise InvalidInputRepresentation("input representation is not valid for g - v")
     t = rep.t
     near, far, own = _fin(t), _fin(t / 2), _fin(t / 3)

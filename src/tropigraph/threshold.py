@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from .errors import BadParameter, InvalidCover, NotThreshold, ParseError, TooLarge
 from .graphs import Graph, _bits, _max_clique_masks, alpha, maximum_independent_set
-from .tropical import Rationalish, as_fraction
+from .tropical import Rationalish, TropicalValue, as_fraction, slice_masks
 
 _VERTEX_LIMIT_DEFAULT = 10
 _EDGE_LIMIT_DEFAULT = 25
@@ -141,13 +141,10 @@ class ThresholdRealization:
     threshold: Fraction
 
     def realizes(self, g: Graph) -> bool:
-        w, t = self.weights, self.threshold
-        if len(w) != g.n:
+        if len(self.weights) != g.n:
             return False
-        return all(
-            (w[u] + w[v] >= t) == g.has_edge(u, v)
-            for u, v in combinations(range(g.n), 2)
-        )
+        masks = slice_masks([TropicalValue.finite(w) for w in self.weights], self.threshold)
+        return masks == [g.adjacency_mask(v) for v in g.vertices()]
 
 
 def threshold_weights(g: Graph, t: Rationalish = 1) -> ThresholdRealization:

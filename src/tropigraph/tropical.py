@@ -5,15 +5,17 @@ Values are exact extended rationals: a reduced Fraction, +inf, or -inf.
 value type carries both infinities; which one is admissible in a given
 representation is policed at the representation level, not here.
 
-Everything in this module is immutable and pure.
+Everything in this module is immutable and pure.  The realization kernel
+at the end decides "does u.v reach t" for all pairs at once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import BadParameter, DimensionMismatch, MixedInfinity
 
@@ -215,3 +217,46 @@ def trop_dot(u: TropicalVector, v: TropicalVector, alg: Algebra) -> TropicalValu
         best = s if best is None else trop_add(best, s, alg)
     assert best is not None
     return best
+
+
+# -- realization kernel ----------------------------------------------------------
+
+
+def slice_masks(column: Sequence[TropicalValue], t: Fraction) -> list[int]:
+    """Adjacency bitmasks of the threshold graph that one coordinate induces.
+
+    Bit v of mask u is set iff u != v and column[u] * column[v] >= t.  The
+    finite entries are sorted once; the finite partners of a finite x_u are
+    the suffix at or above t - x_u, found by one bisect.  A +inf entry
+    partners every other vertex and a -inf entry none; a column holding
+    both is undefined and raises MixedInfinity.
+    """
+    finite = [(x.frac, v) for v, x in enumerate(column) if x.kind == _FINITE]
+    finite.sort(key=lambda p: p[0])
+    pos_inf = sum(1 << v for v, x in enumerate(column) if x.kind == _POS)
+    if pos_inf and any(x.kind == _NEG for x in column):
+        raise MixedInfinity("cannot multiply +inf with -inf")
+    keys = [x for x, _ in finite]
+    suffix = [pos_inf] * (len(finite) + 1)
+    for i in range(len(finite) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | 1 << finite[i][1]
+    everyone = (1 << len(column)) - 1
+    masks = [everyone if x.kind == _POS else 0 for x in column]
+    for x, v in finite:
+        masks[v] = suffix[bisect_left(keys, t - x)]
+    return [m & ~(1 << v) for v, m in enumerate(masks)]
+
+
+def realize_masks(vectors: Sequence[TropicalVector], t: Fraction, alg: Algebra) -> list[int]:
+    """Adjacency bitmasks of the graph the equal-length vectors realize at t.
+
+    The slice law: a min-plus dot reaches t iff every coordinate sum does,
+    a max-plus dot iff some coordinate sum does, so the realized graph is
+    the AND, or the OR, of the slice masks.
+    """
+    fold = int.__and__ if alg is MIN_PLUS else int.__or__
+    columns = zip(*(vec.entries for vec in vectors))
+    out = slice_masks(next(columns), t)
+    for column in columns:
+        out = list(map(fold, out, slice_masks(column, t)))
+    return out

@@ -1,8 +1,11 @@
 """Ground-truth checking and exact tropical dimensions.
 
 realize_graph turns vectors back into the graph they encode; verify
-compares that against a target graph pair by pair; project_slices splits a
+compares that against a target graph; project_slices splits a
 representation into one single-coordinate threshold graph per dimension.
+All three rest on the slice kernel in tropical: the realized graph is the
+intersection (min-plus) or union (max-plus) of the per-coordinate slices,
+and exact dots are computed only for the pairs verify reports.
 
 Dimensions are computed combinatorially: the max-plus dimension of g
 equals its threshold cover number, the min-plus dimension equals the cover
@@ -17,7 +20,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .errors import BadParameter, DimensionMismatch, TooLarge, VertexMismatch
-from .graphs import Graph, to_graph6
+from .graphs import Graph, _bits, to_graph6
 from .representations import Representation, from_cover
 from .threshold import (
     SCHEMA,
@@ -27,7 +30,16 @@ from .threshold import (
     theta_bounds,
     theta_hat,
 )
-from .tropical import Algebra, Rationalish, TropicalValue, TropicalVector, as_fraction, trop_dot, trop_mul
+from .tropical import (
+    Algebra,
+    Rationalish,
+    TropicalValue,
+    TropicalVector,
+    as_fraction,
+    realize_masks,
+    slice_masks,
+    trop_dot,
+)
 
 _ENUM_LIMIT = 7
 
@@ -42,14 +54,11 @@ def realize_graph(
     for vec in vectors:
         if vec.dim != dim:
             raise DimensionMismatch("vectors must share one dimension")
-    thr = TropicalValue.finite(as_fraction(t))
-    n = len(vectors)
-    edges = [
-        (u, v)
-        for u, v in combinations(range(n), 2)
-        if trop_dot(vectors[u], vectors[v], alg) >= thr
-    ]
-    return Graph(n, edges)
+    return _graph_of(realize_masks(vectors, as_fraction(t), alg))
+
+
+def _graph_of(masks: list[int]) -> Graph:
+    return Graph(len(masks), [(u, v) for u, m in enumerate(masks) for v in _bits(m) if u < v])
 
 
 @dataclass(frozen=True)
@@ -71,16 +80,22 @@ class VerificationReport:
 
 
 def verify(g: Graph, rep: Representation) -> VerificationReport:
-    """Check a representation against its target graph, pair by pair."""
+    """Check a representation against its target graph.
+
+    The realized graph is the fold of the per-coordinate slices; exact dots
+    are computed only for the pairs where it differs from g, which are
+    reported in ascending (u, v) order.
+    """
     if rep.n != g.n:
         raise VertexMismatch(f"representation on {rep.n} vertices, graph on {g.n}")
-    thr = TropicalValue.finite(rep.t)
+    realized = realize_masks(rep.vectors, rep.t, rep.algebra)
     violations = []
-    for u, v in combinations(range(g.n), 2):
-        dot = trop_dot(rep.vectors[u], rep.vectors[v], rep.algebra)
-        if g.has_edge(u, v) != (dot >= thr):
-            expected = "edge: dot >= t" if g.has_edge(u, v) else "non-edge: dot < t"
-            violations.append((u, v, dot, expected))
+    for u in range(g.n):
+        for v in _bits(realized[u] ^ g.adjacency_mask(u)):
+            if u < v:
+                dot = trop_dot(rep.vectors[u], rep.vectors[v], rep.algebra)
+                expected = "edge: dot >= t" if g.has_edge(u, v) else "non-edge: dot < t"
+                violations.append((u, v, dot, expected))
     return VerificationReport(not violations, tuple(violations))
 
 
@@ -92,16 +107,8 @@ def project_slices(rep: Representation) -> list[Graph]:
     union realizes a max-plus representation, their intersection a
     min-plus one.
     """
-    thr = TropicalValue.finite(rep.t)
-    out = []
-    for j in range(rep.dim):
-        edges = [
-            (u, v)
-            for u, v in combinations(range(rep.n), 2)
-            if trop_mul(rep.vectors[u][j], rep.vectors[v][j]) >= thr
-        ]
-        out.append(Graph(rep.n, edges))
-    return out
+    columns = zip(*(vec.entries for vec in rep.vectors))
+    return [_graph_of(slice_masks(column, rep.t)) for column in columns]
 
 
 # -- exact dimensions ------------------------------------------------------------

@@ -17,6 +17,7 @@ from tropigraph import (
     BadParameter,
     CoverMode,
     CoverSolution,
+    Graph,
     InvalidCover,
     NotThreshold,
     TooLarge,
@@ -128,6 +129,18 @@ def test_weights_random_threshold_graphs():
             g = random_threshold_graph(rng, n)
             assert threshold_weights(g, 1).realizes(g)
             assert threshold_weights(g, "7/3").realizes(g)
+
+
+def test_weights_reject_other_graphs():
+    rng = random.Random(12)
+    for n in range(2, 10):
+        for _ in range(10):
+            g = random_threshold_graph(rng, n)
+            w = threshold_weights(g, "7/3")
+            flipped = set(g.edges) ^ {tuple(sorted(rng.sample(range(n), 2)))}
+            assert not w.realizes(Graph(n, flipped))
+            assert not w.realizes(Graph(n + 1, g.edges))
+            assert not w.realizes(g.induced(range(n - 1)))
 
 
 # -- covers -----------------------------------------------------------------------

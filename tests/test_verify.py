@@ -1,16 +1,25 @@
 """Realization, verification, slices, exact dimensions, conjecture sweep."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, random_graph
+from oracles import eval_dot
 from tropigraph import (
     MAX_PLUS,
     MIN_PLUS,
+    NEG_INF,
+    POS_INF,
     BadParameter,
     CaterpillarSpec,
+    Graph,
+    MixedInfinity,
+    Representation,
     TooLarge,
     TropicalVector,
     VertexMismatch,
@@ -176,6 +185,78 @@ def test_slice_laws_generic(g):
                 else combined.union(s)
             )
         assert combined == g
+
+
+# -- realization against a pairwise oracle -----------------------------------------
+
+
+def _oracle_reaches(dot, t, mode: str) -> bool:
+    # eval_dot returns None for the identity infinity: +inf in min-plus, -inf in max-plus
+    return mode == "min" if dot is None else dot >= t
+
+
+def _oracle_str(dot, mode: str) -> str:
+    if dot is None:
+        return "inf" if mode == "min" else "-inf"
+    return f"{dot.numerator}/{dot.denominator}"
+
+
+def test_realization_matches_pairwise_oracle():
+    """realize_graph, every slice and verify's violation list against eval_dot.
+
+    The grid and thresholds are chosen so that many coordinate sums land
+    exactly on t; about one entry in five is the identity infinity.
+    """
+    rng = random.Random(2024)
+    grid = [Fraction(p, q) for p in range(-3, 7) for q in (1, 2, 3)]
+    for case in range(300):
+        n, d = 1 + case % 9, rng.randint(1, 4)
+        t = rng.choice([Fraction(1), Fraction(1, 2), Fraction(4, 3)])
+        raw = [
+            [None if rng.random() < 0.2 else rng.choice(grid) for _ in range(d)] for _ in range(n)
+        ]
+        pairs = list(combinations(range(n), 2))
+        for alg, mode, identity in ((MIN_PLUS, "min", POS_INF), (MAX_PLUS, "max", NEG_INF)):
+            vectors = tuple(
+                TropicalVector.of([identity if x is None else x for x in row]) for row in raw
+            )
+            rep = Representation(alg, t, vectors)
+            dots = {(u, v): eval_dot(raw[u], raw[v], mode) for u, v in pairs}
+            realized = Graph(n, [p for p in pairs if _oracle_reaches(dots[p], t, mode)])
+            assert realize_graph(vectors, t, alg) == realized
+            for j, got in enumerate(project_slices(rep)):
+                assert got == Graph(n, [
+                    (u, v) for u, v in pairs
+                    if _oracle_reaches(eval_dot([raw[u][j]], [raw[v][j]], mode), t, mode)
+                ])
+            assert verify(realized, rep).valid
+            target = Graph(n, [p for p in pairs if rng.random() < 0.5])
+            expected = [
+                {
+                    "u": u,
+                    "v": v,
+                    "dot": _oracle_str(dots[u, v], mode),
+                    "expected": "edge: dot >= t" if target.has_edge(u, v) else "non-edge: dot < t",
+                }
+                for u, v in pairs
+                if target.has_edge(u, v) != realized.has_edge(u, v)
+            ]
+            assert verify(target, rep).to_json()["violations"] == expected
+
+
+def test_mixed_infinities_raise_only_within_one_coordinate():
+    same = tuple(TropicalVector.of(row) for row in (["inf", 0], ["-inf", 1], [0, 0]))
+    apart = (TropicalVector.of(["inf", 0]), TropicalVector.of([0, "-inf"]))
+    for alg in (MIN_PLUS, MAX_PLUS):
+        with pytest.raises(MixedInfinity):
+            realize_graph(same, 1, alg)
+    assert realize_graph(apart, 1, MIN_PLUS) == Graph(2)
+    assert realize_graph(apart, 1, MAX_PLUS) == Graph(2, [(0, 1)])
+    # a Representation admits one infinity only, so the slices get the fields they read
+    with pytest.raises(MixedInfinity):
+        project_slices(SimpleNamespace(vectors=same, t=Fraction(1), n=3, dim=2))
+    rep = SimpleNamespace(vectors=apart, t=Fraction(1), n=2, dim=2)
+    assert project_slices(rep) == [Graph(2, [(0, 1)]), Graph(2)]
 
 
 # -- rho ---------------------------------------------------------------------------
