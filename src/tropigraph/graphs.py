@@ -339,8 +339,8 @@ def to_graph6(g: Graph, header: bool = False) -> str:
     out.append(_g6_size(n))
     bits = []
     for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+        row = g.adjacency_mask(j)
+        bits.extend(row >> i & 1 for i in range(j))
     while len(bits) % 6:
         bits.append(0)
     for k in range(0, len(bits), 6):

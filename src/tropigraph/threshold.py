@@ -11,7 +11,11 @@ The cover number solver assigns edges to color classes by iterative
 deepening.  Classes may overlap: an alternating C4 inside a class can be
 repaired by adding one of its missing diagonals, as long as that diagonal
 is an edge of the host graph.  The search branches over those repairs, so
-it is complete for covers, not merely for partitions.
+it is complete for covers, not merely for partitions.  Every class it holds
+is alternating-C4-free, so when an edge joins a class each violated pair
+touches an edge added since; the repair closures scan only those pairs,
+repair the violated pair of lowest index first, and are memoized for the
+life of one search, across all the cover sizes k it decides.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from .errors import BadParameter, InvalidCover, NotThreshold, ParseError, TooLarge
 from .graphs import Graph, _bits, _max_clique_masks, alpha, maximum_independent_set
@@ -284,6 +289,13 @@ class _CoverSearch:
     diagonal conditions are precomputed as bitmasks of host-graph edges:
     a class S containing both ab and cd must intersect each condition mask.
     An empty mask means the pair can never share a class.
+
+    ``memo`` maps a class plus its new edge to its sorted repair closures;
+    ``theta`` shares one search across every ``decide(k)``, so the memo is
+    dropped when ``theta`` returns.  The partial re-check in ``_closures`` is
+    exact because every class passed to it is closed: a violation must touch
+    an edge added since, and the violated pair of lowest index in ``pairs``
+    is repaired, as a full scan of ``pairs`` would.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -306,6 +318,16 @@ class _CoverSearch:
                 mask_a = edge_mask(a, c) | edge_mask(b, d)
                 mask_b = edge_mask(a, d) | edge_mask(b, c)
                 self.pairs.append((i, j, mask_a, mask_b))
+        self.memo: dict[int, list[int]] = {}
+
+    @cached_property
+    def touching(self) -> list[list[tuple[int, int, int, int]]]:
+        """Per edge, (index in pairs, other edge, mask_a, mask_b) by index."""
+        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.m)]
+        for idx, (i, j, mask_a, mask_b) in enumerate(self.pairs):
+            out[i].append((idx, j, mask_a, mask_b))
+            out[j].append((idx, i, mask_a, mask_b))
+        return out
 
     def conflict_clique_bound(self) -> int:
         """Max set of edges that pairwise can never share a threshold class."""
@@ -318,8 +340,15 @@ class _CoverSearch:
                 adj[j] |= 1 << i
         return _max_clique_masks(adj, self.m).bit_count()
 
-    def _closures(self, start: int) -> list[int]:
-        """All repair-closures of a class: alternating-C4-free supersets."""
+    def _closures(self, state: int, e: int) -> list[int]:
+        """All repair-closures of state + e: alternating-C4-free supersets.
+
+        state must be alternating-C4-free, as 0 and every closure are; only
+        pairs touching edges added since state are scanned.
+        """
+        start = state | 1 << e
+        if start in self.memo:
+            return self.memo[start]
         out: set[int] = set()
         seen: set[int] = set()
 
@@ -327,22 +356,23 @@ class _CoverSearch:
             if mask in seen:
                 return
             seen.add(mask)
-            for i, j, mask_a, mask_b in self.pairs:
-                if not (mask >> i & 1 and mask >> j & 1):
-                    continue
-                need = None
-                if mask & mask_a == 0:
-                    need = mask_a
-                elif mask & mask_b == 0:
-                    need = mask_b
-                if need is not None:
-                    for r in _bits(need):
-                        rec(mask | 1 << r)
-                    return
-            out.add(mask)
+            best, need = len(self.pairs), 0
+            for x in _bits(mask & ~state):
+                for idx, y, mask_a, mask_b in self.touching[x]:
+                    if idx >= best:
+                        break
+                    if mask >> y & 1 and (mask & mask_a == 0 or mask & mask_b == 0):
+                        best, need = idx, mask_a if mask & mask_a == 0 else mask_b
+                        break
+            if best == len(self.pairs):
+                out.add(mask)
+                return
+            for r in _bits(need):
+                rec(mask | 1 << r)
 
         rec(start)
-        return sorted(out)
+        self.memo[start] = sorted(out)
+        return self.memo[start]
 
     def decide(self, k: int) -> list[int] | None:
         classes = [0] * k
@@ -360,7 +390,7 @@ class _CoverSearch:
                 if state in tried:
                     continue
                 tried.add(state)
-                for closed in self._closures(state | 1 << e):
+                for closed in self._closures(state, e):
                     classes[ci] = closed
                     if search():
                         return True

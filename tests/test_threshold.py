@@ -42,6 +42,7 @@ from tropigraph import (
     threshold_weights,
     validate_cover,
 )
+from tropigraph.threshold import _CoverSearch
 
 # -- recognition ----------------------------------------------------------------
 
@@ -257,6 +258,73 @@ def test_theta_matches_setcover_oracle_random_n7():
     for _ in range(15):
         g = random_graph(rng, 7)
         assert theta(g).value == setcover_theta(g), g
+
+
+def test_theta_hat_matches_setcover_oracle_random_n7():
+    # the search path depends on the labels, so relabelled copies are solved too
+    rng = random.Random(6)
+    for _ in range(15):
+        g = random_graph(rng, 7)
+        want = setcover_theta(g.complement())
+        for h in (g, g.relabel(rng.sample(range(7), 7)), g.relabel(rng.sample(range(7), 7))):
+            assert theta_hat(h).value == want, h
+
+
+# -- repair closures ----------------------------------------------------------------
+
+
+def _rescan_closures(search: _CoverSearch, start: int) -> list[int]:
+    """Repair closures of start, rescanning every pair of search.pairs at each node."""
+    out: set[int] = set()
+    seen: set[int] = set()
+
+    def rec(mask: int) -> None:
+        if mask in seen:
+            return
+        seen.add(mask)
+        for i, j, mask_a, mask_b in search.pairs:
+            if not (mask >> i & 1 and mask >> j & 1):
+                continue
+            need = mask_a if mask & mask_a == 0 else mask_b if mask & mask_b == 0 else None
+            if need is not None:
+                for r in range(search.m):
+                    if need >> r & 1:
+                        rec(mask | 1 << r)
+                return
+        out.add(mask)
+
+    rec(start)
+    return sorted(out)
+
+
+def test_closures_match_full_rescan_reference():
+    rng = random.Random(17)
+    calls = hits = 0
+    for _ in range(12):
+        n = rng.randint(5, 8)
+        base = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        for g in (base, base.relabel(rng.sample(range(n), n))):
+            search = _CoverSearch(g)
+            closures = search._closures
+            reached: list[tuple[int, int, list[int]]] = []
+
+            def recording(state: int, e: int) -> list[int]:
+                reached.append((state, e, closures(state, e)))
+                return reached[-1][2]
+
+            search._closures = recording
+            k, sol = 0, None
+            while sol is None and search.m:
+                k += 1
+                sol = search.decide(k)
+                # the memo is warm from decide(1..k-1); a fresh search must agree
+                assert sol == _CoverSearch(g).decide(k), (g, k)
+            assert k == theta(g, 8, 28).value
+            for state, e, got in reached:
+                assert got == _rescan_closures(search, state | 1 << e), (g, state, e)
+            calls += len(reached)
+            hits += len(reached) - len(search.memo)
+    assert hits > calls // 2 > 0
 
 
 # -- bounds -----------------------------------------------------------------------
