@@ -51,6 +51,19 @@ class Graph:
         self._edges = frozenset(es)
         self._adj = tuple(adj)
 
+    @classmethod
+    def from_masks(cls, masks: Sequence[int]) -> "Graph":
+        """Graph whose vertex v has neighbour bitmask masks[v].
+
+        The masks must be symmetric and loop-free, as the realization
+        kernel's are; no edge list is built or range-checked.
+        """
+        g = cls.__new__(cls)
+        g.n = len(masks)
+        g._adj = tuple(masks)
+        g._edges = frozenset((u, v) for u, m in enumerate(masks) for v in _bits(m & -(2 << u)))
+        return g
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return self._edges

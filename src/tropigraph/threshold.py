@@ -7,15 +7,14 @@ be built by adding one isolated-or-dominating vertex at a time.  The
 recognizer peels such vertices and reverses the order into a creation
 sequence; failure yields an alternating-C4 witness.
 
-The cover number solver assigns edges to color classes by iterative
-deepening.  Classes may overlap: an alternating C4 inside a class can be
-repaired by adding one of its missing diagonals, as long as that diagonal
-is an edge of the host graph.  The search branches over those repairs, so
-it is complete for covers, not merely for partitions.  Every class it holds
-is alternating-C4-free, so when an edge joins a class each violated pair
-touches an edge added since; the repair closures scan only those pairs,
-repair the violated pair of lowest index first, and are memoized for the
-life of one search, across all the cover sizes k it decides.
+The cover number solver partitions the edges into k classes by iterative
+deepening, each class an edge set that some threshold subgraph of the host
+contains: the cover number is the least such k, and those subgraphs are
+the cover parts, which may overlap.  Whether a class extends (the threshold
+sandwich problem) is decided by the same peel, with isolated meaning "no
+forced edge to the rest" and dominating "a host edge to all of the rest";
+peeling greedily is exact because every induced subgraph of a threshold
+graph is threshold and so has an isolated or a dominating vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from .errors import BadParameter, InvalidCover, NotThreshold, ParseError, TooLarge
 from .graphs import Graph, _bits, _max_clique_masks, alpha, maximum_independent_set
@@ -171,16 +169,19 @@ def threshold_weights(g: Graph, t: Rationalish = 1) -> ThresholdRealization:
     if not cert.is_threshold:
         raise NotThreshold(f"graph has alternating C4 witness {cert.witness}")
     assert cert.creation is not None
+    mid = tf / 2
     weights: dict[int, Fraction] = {}
+    low = high = mid
     for v, kind in cert.creation:
         if not weights:
-            weights[v] = tf / 2
+            w = mid
         elif kind is VertexKind.DOMINATING:
-            weights[v] = tf - min(weights.values())
+            w = tf - low
         else:
-            weights[v] = -max(weights.values())
-    mid = tf / 2
-    spread = max(abs(w - mid) for w in weights.values())
+            w = -high
+        weights[v] = w
+        low, high = min(low, w), max(high, w)
+    spread = max(high - mid, mid - low)
     if spread >= mid:
         # w -> mid + a*(w - mid) with a > 0 maps pair sums to t + a*(sum - t)
         scale = mid / (spread + mid)
@@ -283,121 +284,114 @@ class ThetaResult:
 
 
 class _CoverSearch:
-    """Decision search: can the edges be covered by k threshold classes?
+    """Decision search: can the edges be partitioned into k sandwich classes?
 
-    Edges are indexed; for every vertex-disjoint edge pair (ab, cd) the two
-    diagonal conditions are precomputed as bitmasks of host-graph edges:
-    a class S containing both ab and cd must intersect each condition mask.
-    An empty mask means the pair can never share a class.
+    A class is an edge set S that extends to a threshold graph H with
+    S <= E(H) <= E(g).  Keeping each edge of a cover in one part that holds
+    it gives such a partition, and the graphs H of a partition cover g, so
+    the least k is the cover number; the H found are the cover parts.
 
-    ``memo`` maps a class plus its new edge to its sorted repair closures;
-    ``theta`` shares one search across every ``decide(k)``, so the memo is
-    dropped when ``theta`` returns.  The partial re-check in ``_closures`` is
-    exact because every class passed to it is closed: a violation must touch
-    an edge added since, and the violated pair of lowest index in ``pairs``
-    is repaired, as a full scan of ``pairs`` would.
+    ``conflict[e]`` masks the edges that share no class with e: ab and cd
+    conflict when g has neither ac nor bd, or neither ad nor bc.  ``decide``
+    places next the edge that conflicts with the most classes in use
+    (DSATUR), tries each class whose peel still succeeds, and opens at most
+    one new class per level, so it never tries two renamings of one partition.
     """
 
     def __init__(self, g: Graph) -> None:
-        self.g = g
+        self.host = [g.adjacency_mask(v) for v in g.vertices()]
         self.edges = g.sorted_edges()
         self.m = len(self.edges)
-        self.full = (1 << self.m) - 1
-        index = {e: i for i, e in enumerate(self.edges)}
-
-        def edge_mask(x: int, y: int) -> int:
-            e = (x, y) if x < y else (y, x)
-            return 1 << index[e] if e in index else 0
-
-        self.pairs: list[tuple[int, int, int, int]] = []
+        index: dict[tuple[int, int], int] = {}
         for i, (a, b) in enumerate(self.edges):
-            for j in range(i + 1, self.m):
-                c, d = self.edges[j]
-                if c in (a, b) or d in (a, b):
-                    continue
-                mask_a = edge_mask(a, c) | edge_mask(b, d)
-                mask_b = edge_mask(a, d) | edge_mask(b, c)
-                self.pairs.append((i, j, mask_a, mask_b))
-        self.memo: dict[int, list[int]] = {}
-
-    @cached_property
-    def touching(self) -> list[list[tuple[int, int, int, int]]]:
-        """Per edge, (index in pairs, other edge, mask_a, mask_b) by index."""
-        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.m)]
-        for idx, (i, j, mask_a, mask_b) in enumerate(self.pairs):
-            out[i].append((idx, j, mask_a, mask_b))
-            out[j].append((idx, i, mask_a, mask_b))
-        return out
+            index[a, b] = index[b, a] = i
+        everyone = (1 << g.n) - 1
+        self.conflict: list[int] = []
+        for a, b in self.edges:
+            ends = 1 << a | 1 << b
+            far_a = everyone & ~self.host[a] & ~ends
+            far_b = everyone & ~self.host[b] & ~ends
+            mask = 0
+            for c in _bits(far_a):
+                for d in _bits(self.host[c] & far_b):
+                    mask |= 1 << index[c, d]
+            self.conflict.append(mask)
 
     def conflict_clique_bound(self) -> int:
         """Max set of edges that pairwise can never share a threshold class."""
-        if self.m == 0:
-            return 0
-        adj = [0] * self.m
-        for i, j, mask_a, mask_b in self.pairs:
-            if mask_a == 0 or mask_b == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        return _max_clique_masks(adj, self.m).bit_count()
+        return _max_clique_masks(self.conflict, self.m).bit_count()
 
-    def _closures(self, state: int, e: int) -> list[int]:
-        """All repair-closures of state + e: alternating-C4-free supersets.
+    def _peel(self, need: list[int], alive: int) -> list[tuple[int, int]] | None:
+        """Dominating steps (vertex, rest) of a threshold-sandwich peel, or None.
 
-        state must be alternating-C4-free, as 0 and every closure are; only
-        pairs touching edges added since state are scanned.
+        need[v] masks v's forced edges.  Each step removes a vertex with no
+        forced edge to the rest (isolated) or a host edge to all of it
+        (dominating).  The greedy peel is exact: a threshold H on the alive
+        vertices has an isolated or a dominating vertex, which passes here,
+        and a vertex that passes can be put back onto any sandwich of the rest.
         """
-        start = state | 1 << e
-        if start in self.memo:
-            return self.memo[start]
-        out: set[int] = set()
-        seen: set[int] = set()
-
-        def rec(mask: int) -> None:
-            if mask in seen:
-                return
-            seen.add(mask)
-            best, need = len(self.pairs), 0
-            for x in _bits(mask & ~state):
-                for idx, y, mask_a, mask_b in self.touching[x]:
-                    if idx >= best:
+        steps = []
+        while alive:
+            for v in _bits(alive):
+                if need[v] & alive == 0:
+                    break
+            else:
+                for v in _bits(alive):
+                    if alive & ~self.host[v] == 1 << v:
+                        steps.append((v, alive ^ 1 << v))
                         break
-                    if mask >> y & 1 and (mask & mask_a == 0 or mask & mask_b == 0):
-                        best, need = idx, mask_a if mask & mask_a == 0 else mask_b
-                        break
-            if best == len(self.pairs):
-                out.add(mask)
-                return
-            for r in _bits(need):
-                rec(mask | 1 << r)
+                else:
+                    return None
+            alive ^= 1 << v
+        return steps
 
-        rec(start)
-        self.memo[start] = sorted(out)
-        return self.memo[start]
+    def decide(self, k: int) -> list[frozenset[tuple[int, int]]] | None:
+        """Edge sets of at most k threshold subgraphs covering g, or None."""
+        conflict, edges = self.conflict, self.edges
+        degree = [c.bit_count() for c in conflict]
+        classes: list[int] = []
+        needs: list[list[int]] = []
+        touched: list[int] = []
 
-    def decide(self, k: int) -> list[int] | None:
-        classes = [0] * k
+        def urgency(e: int) -> tuple[int, int, int]:
+            return (sum(1 for s in classes if conflict[e] & s), degree[e], -e)
 
-        def search() -> bool:
-            covered = 0
-            for s in classes:
-                covered |= s
-            if covered == self.full:
+        def place(left: int) -> bool:
+            if not left:
                 return True
-            e = ((~covered & self.full) & -(~covered & self.full)).bit_length() - 1
-            tried: set[int] = set()
-            for ci in range(k):
-                state = classes[ci]
-                if state in tried:
+            e = max(_bits(left), key=urgency)
+            a, b = edges[e]
+            ends, rest = 1 << a | 1 << b, left ^ 1 << e
+            for ci, s in enumerate(classes):
+                if conflict[e] & s:
                     continue
-                tried.add(state)
-                for closed in self._closures(state, e):
-                    classes[ci] = closed
-                    if search():
-                        return True
-                classes[ci] = state
+                need, was = needs[ci], touched[ci]
+                need[a] |= 1 << b
+                need[b] |= 1 << a
+                classes[ci], touched[ci] = s | 1 << e, was | ends
+                if self._peel(need, touched[ci]) is not None and place(rest):
+                    return True
+                need[a] ^= 1 << b
+                need[b] ^= 1 << a
+                classes[ci], touched[ci] = s, was
+            if len(classes) < k:
+                need = [0] * len(self.host)
+                need[a], need[b] = 1 << b, 1 << a
+                classes.append(1 << e)
+                needs.append(need)
+                touched.append(ends)
+                if place(rest):
+                    return True
+                del classes[-1], needs[-1], touched[-1]
             return False
 
-        return list(classes) if search() else None
+        if not place((1 << self.m) - 1):
+            return None
+        parts = []
+        for need, alive in zip(needs, touched):
+            steps = self._peel(need, alive)
+            parts.append(frozenset((min(v, w), max(v, w)) for v, rest in steps for w in _bits(rest)))
+        return parts
 
 
 def theta(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> ThetaResult:
@@ -426,10 +420,7 @@ def theta(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> 
     for k in range(lower, upper):
         sol = search.decide(k)
         if sol is not None:
-            parts = [
-                frozenset(search.edges[i] for i in _bits(mask)) for mask in sol if mask
-            ]
-            cover = CoverSolution(CoverMode.UNION, _canonical_parts(parts), g.n)
+            cover = CoverSolution(CoverMode.UNION, _canonical_parts(sol), g.n)
             return ThetaResult(k, cover)
     return ThetaResult(upper, upper_cover)
 

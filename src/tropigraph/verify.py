@@ -54,11 +54,7 @@ def realize_graph(
     for vec in vectors:
         if vec.dim != dim:
             raise DimensionMismatch("vectors must share one dimension")
-    return _graph_of(realize_masks(vectors, as_fraction(t), alg))
-
-
-def _graph_of(masks: list[int]) -> Graph:
-    return Graph(len(masks), [(u, v) for u, m in enumerate(masks) for v in _bits(m) if u < v])
+    return Graph.from_masks(realize_masks(vectors, as_fraction(t), alg))
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,7 @@ def project_slices(rep: Representation) -> list[Graph]:
     min-plus one.
     """
     columns = zip(*(vec.entries for vec in rep.vectors))
-    return [_graph_of(slice_masks(column, rep.t)) for column in columns]
+    return [Graph.from_masks(slice_masks(column, rep.t)) for column in columns]
 
 
 # -- exact dimensions ------------------------------------------------------------

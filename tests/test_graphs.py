@@ -69,6 +69,13 @@ def test_complement_involution(g):
     assert g.complement().complement() == g
 
 
+@given(graphs(min_n=0))
+def test_from_masks_matches_edge_list_constructor(g):
+    h = Graph.from_masks([g.adjacency_mask(v) for v in g.vertices()])
+    assert h == g and hash(h) == hash(g)
+    assert [h.adjacency_mask(v) for v in h.vertices()] == [g.adjacency_mask(v) for v in g.vertices()]
+
+
 @given(graphs(max_n=6), st.data())
 def test_de_morgan(g, data):
     pairs = list(combinations(range(g.n), 2))
