@@ -114,14 +114,14 @@ class Graph:
     def union(self, other: "Graph") -> "Graph":
         if self.n != other.n:
             raise VertexCountMismatch(f"union needs equal vertex counts: {self.n} vs {other.n}")
-        return Graph(self.n, self._edges | other._edges)
+        return Graph.from_masks([a | b for a, b in zip(self._adj, other._adj)])
 
     def intersection(self, other: "Graph") -> "Graph":
         if self.n != other.n:
             raise VertexCountMismatch(
                 f"intersection needs equal vertex counts: {self.n} vs {other.n}"
             )
-        return Graph(self.n, self._edges & other._edges)
+        return Graph.from_masks([a & b for a, b in zip(self._adj, other._adj)])
 
     def join(self, other: "Graph") -> "Graph":
         """Join: both graphs side by side plus all cross edges.

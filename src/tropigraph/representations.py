@@ -24,6 +24,7 @@ from .threshold import (
     SCHEMA,
     CoverMode,
     CoverSolution,
+    _weights,
     threshold_weights,
     validate_cover,
 )
@@ -237,13 +238,15 @@ def from_cover(g: Graph, cover: CoverSolution, t: Rationalish = 1) -> Representa
     under union, complete graph under intersection) becomes the single
     part it stands for, so the dimension stays >= 1.
     """
-    validate_cover(g, cover)
+    creations = validate_cover(g, cover)
     if cover.mode is CoverMode.UNION:
         algebra, whole = MAX_PLUS, frozenset()
     else:
         algebra, whole = MIN_PLUS, frozenset(combinations(range(g.n), 2))
     tf = as_fraction(t)
-    weightings = [threshold_weights(Graph(g.n, part), tf) for part in cover.parts or (whole,)]
+    if tf <= 0:
+        raise BadParameter("threshold t must be > 0")
+    weightings = [_weights(c, tf) for c in creations] or [threshold_weights(Graph(g.n, whole), tf)]
     vectors = tuple(
         TropicalVector(tuple(_fin(w.weights[v]) for w in weightings))
         for v in range(g.n)

@@ -3,18 +3,15 @@ realizations, and the exact cover / intersection numbers with witnesses.
 
 A graph is threshold exactly when no four vertices a, b, c, d have edges
 ab, cd with ac, bd both absent (an "alternating C4"); equivalently it can
-be built by adding one isolated-or-dominating vertex at a time.  The
-recognizer peels such vertices and reverses the order into a creation
-sequence; failure yields an alternating-C4 witness.
+be built by adding one isolated-or-dominating vertex at a time.  One
+bitmask peel of such vertices serves recognition (reversed into a creation
+sequence, or failing with an alternating-C4 witness), the threshold
+sandwich test of the cover search and the maximum induced search.
 
 The cover number solver partitions the edges into k classes by iterative
 deepening, each class an edge set that some threshold subgraph of the host
 contains: the cover number is the least such k, and those subgraphs are
-the cover parts, which may overlap.  Whether a class extends (the threshold
-sandwich problem) is decided by the same peel, with isolated meaning "no
-forced edge to the rest" and dominating "a host edge to all of the rest";
-peeling greedily is exact because every induced subgraph of a threshold
-graph is threshold and so has an isolated or a dominating vertex.
+the cover parts, which may overlap.
 """
 
 from __future__ import annotations
@@ -53,6 +50,9 @@ class VertexKind(Enum):
     DOMINATING = "dominating"
 
 
+_Creation = tuple[tuple[int, VertexKind], ...]
+
+
 @dataclass(frozen=True)
 class ThresholdCertificate:
     """Either a creation sequence (yes) or an alternating-C4 witness (no).
@@ -63,19 +63,13 @@ class ThresholdCertificate:
     """
 
     is_threshold: bool
-    creation: tuple[tuple[int, VertexKind], ...] | None = None
+    creation: _Creation | None = None
     witness: tuple[int, int, int, int] | None = None
 
     def replay(self) -> Graph:
         if not self.is_threshold or self.creation is None:
             raise NotThreshold("no creation sequence to replay")
-        added: list[int] = []
-        edges: list[tuple[int, int]] = []
-        for v, kind in self.creation:
-            if kind is VertexKind.DOMINATING:
-                edges.extend((u, v) for u in added)
-            added.append(v)
-        return Graph(len(self.creation), edges)
+        return Graph(len(self.creation), _created_edges(self.creation))
 
     def validate(self, g: Graph) -> bool:
         if self.is_threshold:
@@ -92,6 +86,17 @@ class ThresholdCertificate:
         )
 
 
+def _created_edges(creation) -> list[tuple[int, int]]:
+    """Edges (low, high) of a creation sequence: each dominating vertex joins all before it."""
+    added: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for v, kind in creation:
+        if kind is VertexKind.DOMINATING:
+            edges.extend((u, v) if u < v else (v, u) for u in added)
+        added.append(v)
+    return edges
+
+
 def find_alternating_c4(g: Graph) -> tuple[int, int, int, int] | None:
     """Lexicographically first (a, b, c, d) with ab, cd edges, ac, bd missing."""
     edges = g.sorted_edges()
@@ -106,30 +111,42 @@ def find_alternating_c4(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
+def _peel(need: list[int], host: list[int], alive: int) -> list[tuple[int, VertexKind]] | None:
+    """Removal order of a threshold-sandwich peel of ``alive``, or None when stuck.
+
+    need[v] masks v's forced edges and host[v] its allowed ones.  Each step
+    removes the lowest vertex with no forced edge to the rest (isolated),
+    else the lowest with a host edge to all of it (dominating).  Some
+    threshold H with need <= E(H) <= host exists on the alive vertices
+    exactly when the peel empties them: H has an isolated or a dominating
+    vertex, which passes here, and a vertex that passes can be put back onto
+    any sandwich of the rest.
+    """
+    removal = []
+    while alive:
+        for v in _bits(alive):
+            if need[v] & alive == 0:
+                removal.append((v, VertexKind.ISOLATED))
+                break
+        else:
+            for v in _bits(alive):
+                if alive & ~host[v] == 1 << v:
+                    removal.append((v, VertexKind.DOMINATING))
+                    break
+            else:
+                return None
+        alive ^= 1 << v
+    return removal
+
+
 def is_threshold(g: Graph) -> ThresholdCertificate:
     """Recognize threshold graphs; always returns a checkable certificate."""
-    alive = (1 << g.n) - 1
-    count = g.n
-    removal: list[tuple[int, VertexKind]] = []
-    while count:
-        pick = None
-        kind = None
-        for v in _bits(alive):
-            if g.adjacency_mask(v) & alive == 0:
-                pick, kind = v, VertexKind.ISOLATED
-                break
-        if pick is None:
-            for v in _bits(alive):
-                if (g.adjacency_mask(v) & alive).bit_count() == count - 1:
-                    pick, kind = v, VertexKind.DOMINATING
-                    break
-        if pick is None:
-            witness = find_alternating_c4(g)
-            assert witness is not None, "stuck peel must expose an alternating C4"
-            return ThresholdCertificate(False, witness=witness)
-        removal.append((pick, kind))
-        alive &= ~(1 << pick)
-        count -= 1
+    adj = [g.adjacency_mask(v) for v in g.vertices()]
+    removal = _peel(adj, adj, (1 << g.n) - 1)
+    if removal is None:
+        witness = find_alternating_c4(g)
+        assert witness is not None, "stuck peel must expose an alternating C4"
+        return ThresholdCertificate(False, witness=witness)
     return ThresholdCertificate(True, creation=tuple(reversed(removal)))
 
 
@@ -169,10 +186,15 @@ def threshold_weights(g: Graph, t: Rationalish = 1) -> ThresholdRealization:
     if not cert.is_threshold:
         raise NotThreshold(f"graph has alternating C4 witness {cert.witness}")
     assert cert.creation is not None
+    return _weights(cert.creation, tf)
+
+
+def _weights(creation: _Creation, tf: Fraction) -> ThresholdRealization:
+    """threshold_weights from a creation sequence over 0..n-1 and a checked t > 0."""
     mid = tf / 2
     weights: dict[int, Fraction] = {}
     low = high = mid
-    for v, kind in cert.creation:
+    for v, kind in creation:
         if not weights:
             w = mid
         elif kind is VertexKind.DOMINATING:
@@ -186,7 +208,7 @@ def threshold_weights(g: Graph, t: Rationalish = 1) -> ThresholdRealization:
         # w -> mid + a*(w - mid) with a > 0 maps pair sums to t + a*(sum - t)
         scale = mid / (spread + mid)
         weights = {v: mid + scale * (w - mid) for v, w in weights.items()}
-    return ThresholdRealization(tuple(weights[v] for v in range(g.n)), tf)
+    return ThresholdRealization(tuple(weights[v] for v in range(len(creation))), tf)
 
 
 # -- covers -------------------------------------------------------------------
@@ -219,12 +241,21 @@ class CoverSolution:
             mode = CoverMode(data["mode"])
             n = int(data["n"])
             parts = tuple(
-                frozenset((int(u), int(v)) if u < v else (int(v), int(u)) for u, v in part)
-                for part in data["parts"]
+                frozenset(_json_edge(u, v, n) for u, v in part) for part in data["parts"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed cover JSON: {exc}") from exc
         return CoverSolution(mode, parts, n)
+
+
+def _json_edge(u, v, n: int) -> tuple[int, int]:
+    """Edge (low, high) from JSON endpoints, ints or decimal strings in 0..n-1, converted first."""
+    a, b = ends = int(u), int(v)
+    if any(type(x) is not int and str(w) != x or not 0 <= w < n for x, w in zip((u, v), ends)):
+        raise ValueError(f"edge ({u!r}, {v!r}) is not on integer vertices 0..{n - 1}")
+    if a == b:
+        raise ValueError(f"loop at vertex {a}")
+    return (a, b) if a < b else (b, a)
 
 
 def _canonical_parts(parts) -> tuple[frozenset[tuple[int, int]], ...]:
@@ -233,14 +264,19 @@ def _canonical_parts(parts) -> tuple[frozenset[tuple[int, int]], ...]:
     )
 
 
-def validate_cover(g: Graph, cover: CoverSolution) -> None:
-    """Raise InvalidCover unless the cover witnesses its mode for g."""
+def validate_cover(g: Graph, cover: CoverSolution) -> tuple[_Creation, ...]:
+    """Each part's creation sequence, which replays to that part on g's vertices.
+
+    Raises InvalidCover unless the cover witnesses its mode for g.
+    """
     if cover.n != g.n:
         raise InvalidCover(f"cover on {cover.n} vertices, graph on {g.n}")
+    creations = []
     for i, part in enumerate(cover.parts):
-        part_graph = Graph(g.n, part)
-        if not is_threshold(part_graph).is_threshold:
+        cert = is_threshold(Graph(g.n, part))
+        if not cert.is_threshold:
             raise InvalidCover(f"part {i} is not a threshold graph")
+        creations.append(cert.creation)
     if cover.mode is CoverMode.UNION:
         union: frozenset = frozenset()
         for part in cover.parts:
@@ -256,6 +292,7 @@ def validate_cover(g: Graph, cover: CoverSolution) -> None:
             meet &= part
         if meet != g.edges:
             raise InvalidCover("intersection of parts does not equal the edge set")
+    return tuple(creations)
 
 
 def complement_cover(cover: CoverSolution) -> CoverSolution:
@@ -321,30 +358,6 @@ class _CoverSearch:
         """Max set of edges that pairwise can never share a threshold class."""
         return _max_clique_masks(self.conflict, self.m).bit_count()
 
-    def _peel(self, need: list[int], alive: int) -> list[tuple[int, int]] | None:
-        """Dominating steps (vertex, rest) of a threshold-sandwich peel, or None.
-
-        need[v] masks v's forced edges.  Each step removes a vertex with no
-        forced edge to the rest (isolated) or a host edge to all of it
-        (dominating).  The greedy peel is exact: a threshold H on the alive
-        vertices has an isolated or a dominating vertex, which passes here,
-        and a vertex that passes can be put back onto any sandwich of the rest.
-        """
-        steps = []
-        while alive:
-            for v in _bits(alive):
-                if need[v] & alive == 0:
-                    break
-            else:
-                for v in _bits(alive):
-                    if alive & ~self.host[v] == 1 << v:
-                        steps.append((v, alive ^ 1 << v))
-                        break
-                else:
-                    return None
-            alive ^= 1 << v
-        return steps
-
     def decide(self, k: int) -> list[frozenset[tuple[int, int]]] | None:
         """Edge sets of at most k threshold subgraphs covering g, or None."""
         conflict, edges = self.conflict, self.edges
@@ -369,7 +382,7 @@ class _CoverSearch:
                 need[a] |= 1 << b
                 need[b] |= 1 << a
                 classes[ci], touched[ci] = s | 1 << e, was | ends
-                if self._peel(need, touched[ci]) is not None and place(rest):
+                if _peel(need, self.host, touched[ci]) is not None and place(rest):
                     return True
                 need[a] ^= 1 << b
                 need[b] ^= 1 << a
@@ -387,11 +400,10 @@ class _CoverSearch:
 
         if not place((1 << self.m) - 1):
             return None
-        parts = []
-        for need, alive in zip(needs, touched):
-            steps = self._peel(need, alive)
-            parts.append(frozenset((min(v, w), max(v, w)) for v, rest in steps for w in _bits(rest)))
-        return parts
+        return [
+            frozenset(_created_edges(reversed(_peel(need, self.host, alive))))
+            for need, alive in zip(needs, touched)
+        ]
 
 
 def theta(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> ThetaResult:
@@ -462,8 +474,9 @@ def max_induced_threshold(g: Graph, limit: int | None = None) -> frozenset[int]:
     vlim = _exact_limit(limit, default=12)
     if g.n > vlim:
         raise TooLarge(f"exact induced search limited to {vlim} vertices, got {g.n}")
+    adj = [g.adjacency_mask(v) for v in g.vertices()]
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):
-            if is_threshold(g.induced(subset)).is_threshold:
+            if _peel(adj, adj, sum(1 << v for v in subset)) is not None:
                 return frozenset(subset)
     return frozenset()

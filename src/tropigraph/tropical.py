@@ -58,9 +58,9 @@ def as_fraction(x: Rationalish) -> Fraction:
     raise BadParameter(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TropicalValue:
-    """An exact rational, +inf, or -inf, totally ordered the obvious way."""
+    """An exact rational, +inf, or -inf, ordered by (kind, frac): -inf < rationals < +inf."""
 
     kind: int
     frac: Fraction
@@ -89,21 +89,6 @@ class TropicalValue:
     @property
     def is_neg_inf(self) -> bool:
         return self.kind == _NEG
-
-    def _key(self):
-        return (self.kind, self.frac)
-
-    def __lt__(self, other: "TropicalValue") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "TropicalValue") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "TropicalValue") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "TropicalValue") -> bool:
-        return self._key() >= other._key()
 
     def __str__(self) -> str:
         if self.kind == _POS:

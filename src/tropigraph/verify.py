@@ -24,11 +24,11 @@ from .graphs import Graph, _bits, to_graph6
 from .representations import Representation, from_cover
 from .threshold import (
     SCHEMA,
+    CoverSolution,
     complement_cover,
     star_cover,
     theta,
     theta_bounds,
-    theta_hat,
 )
 from .tropical import (
     Algebra,
@@ -143,6 +143,23 @@ class DimensionResult:
         return data
 
 
+def _cover_side(
+    h: Graph, limit: int | None, edge_limit: int | None
+) -> tuple[bool, tuple[int, int], CoverSolution]:
+    """(exact, (lower, upper), union cover of h) for the cover number of h.
+
+    Both bounds are clamped to >= 1; past the search limits they come from
+    theta_bounds and the cover is the star cover.
+    """
+    try:
+        res = theta(h, limit, edge_limit)
+        value = max(res.value, 1)
+        return True, (value, value), res.cover
+    except TooLarge:
+        lo, up = theta_bounds(h)
+        return False, (max(lo, 1), max(up, 1)), star_cover(h)
+
+
 def rho(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> DimensionResult:
     """Both tropical dimensions of g; degrades to bounds past the search limits.
 
@@ -151,35 +168,14 @@ def rho(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> Di
     needs at least one coordinate even for cover number 0 (edgeless or
     complete graphs).
     """
-    exact = True
-    try:
-        res = theta(g, limit, edge_limit)
-        max_value = max(res.value, 1)
-        max_bounds = (max_value, max_value)
-        max_cover = res.cover
-    except TooLarge:
-        exact = False
-        lo, up = theta_bounds(g)
-        max_value = max(up, 1)
-        max_bounds = (max(lo, 1), max_value)
-        max_cover = star_cover(g)
-    try:
-        res = theta_hat(g, limit, edge_limit)
-        min_value = max(res.value, 1)
-        min_bounds = (min_value, min_value)
-        min_cover = res.cover
-    except TooLarge:
-        exact = False
-        comp = g.complement()
-        lo, up = theta_bounds(comp)
-        min_value = max(up, 1)
-        min_bounds = (max(lo, 1), min_value)
-        min_cover = complement_cover(star_cover(comp))
+    max_exact, max_bounds, max_cover = _cover_side(g, limit, edge_limit)
+    min_exact, min_bounds, min_cover = _cover_side(g.complement(), limit, edge_limit)
+    exact = max_exact and min_exact
     return DimensionResult(
-        rho_min_plus=min_value,
-        rho_max_plus=max_value,
+        rho_min_plus=min_bounds[1],
+        rho_max_plus=max_bounds[1],
         method="exact" if exact else "bounds",
-        witness_min_plus=from_cover(g, min_cover),
+        witness_min_plus=from_cover(g, complement_cover(min_cover)),
         witness_max_plus=from_cover(g, max_cover),
         min_plus_bounds=None if exact else min_bounds,
         max_plus_bounds=None if exact else max_bounds,

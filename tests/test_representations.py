@@ -16,6 +16,8 @@ from tropigraph import (
     BadParameter,
     BadSpec,
     CaterpillarSpec,
+    CoverMode,
+    CoverSolution,
     Graph,
     InvalidCover,
     InvalidInputRepresentation,
@@ -24,6 +26,7 @@ from tropigraph import (
     TropicalValue,
     TropicalVector,
     caterpillar,
+    complement_cover,
     caterpillar_2dim,
     caterpillar_rep_for_graph,
     complete,
@@ -48,9 +51,11 @@ from tropigraph import (
     realize_graph,
     rescale,
     star,
+    star_cover,
     theta,
     theta_hat,
     threshold_1dim,
+    threshold_weights,
     trop_dot,
     verify,
 )
@@ -311,6 +316,33 @@ def test_from_cover_equals_the_old_names(g):
     assert from_cover(g, inter, 3).algebra is MIN_PLUS
     for cover in (union, inter):
         assert verify(g, from_cover(g, cover)).valid
+
+
+def _per_part_build(g, cover, t):
+    """from_cover built by recognizing each part on its own, with the pad for an empty cover."""
+    union = cover.mode is CoverMode.UNION
+    whole = frozenset() if union else frozenset(combinations(range(g.n), 2))
+    weightings = [threshold_weights(Graph(g.n, part), t) for part in cover.parts or (whole,)]
+    vectors = tuple(
+        TropicalVector(tuple(F(w.weights[v]) for w in weightings)) for v in range(g.n)
+    )
+    return Representation(MAX_PLUS if union else MIN_PLUS, Fraction(t), vectors)
+
+
+def test_from_cover_matches_per_part_reference():
+    rng = random.Random(37)
+    cases = [random_graph(rng, rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7))) for _ in range(40)]
+    for g in cases + [path(6), cycle(5), complete(4), empty(3)]:
+        covers = (theta(g).cover, theta_hat(g).cover, star_cover(g))
+        covers += (complement_cover(star_cover(g.complement())),)
+        for cover in covers:
+            for t in (1, Fraction(7, 3)):
+                assert from_cover(g, cover, t) == _per_part_build(g, cover, t)
+    for n in range(1, 6):
+        for mode, g in ((CoverMode.UNION, empty(n)), (CoverMode.INTERSECTION, complete(n))):
+            cover = CoverSolution(mode, (), n)
+            for t in (1, Fraction(7, 3)):
+                assert from_cover(g, cover, t) == _per_part_build(g, cover, t)
 
 
 # -- caterpillars ------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from tropigraph import (
     Graph,
     InvalidCover,
     NotThreshold,
+    ParseError,
+    ThresholdCertificate,
     TooLarge,
     VertexKind,
     complement_cover,
@@ -45,6 +47,7 @@ from tropigraph import (
     validate_cover,
     verify,
 )
+from tropigraph.threshold import _peel
 
 # -- recognition ----------------------------------------------------------------
 
@@ -104,6 +107,41 @@ def test_recognizer_matches_creation_enumeration():
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
             assert is_threshold(g).is_threshold == (g.edges in families[n])
+
+
+def test_peel_matches_sandwich_oracle():
+    """_peel empties `alive` exactly when a threshold T has need <= T <= host on it."""
+    rng = random.Random(23)
+    stuck = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        pairs = list(combinations(range(n), 2))
+        host_edges = {e for e in pairs if rng.random() < 0.5}
+        need_edges = {e for e in host_edges if rng.random() < 0.8}
+        alive = rng.choice(((1 << n) - 1, rng.randrange(1 << n)))
+        inside = {(u, v) for u, v in pairs if alive >> u & 1 and alive >> v & 1}
+        need, host = Graph(n, need_edges), Graph(n, host_edges)
+        removal = _peel(
+            [need.adjacency_mask(v) for v in range(n)],
+            [host.adjacency_mask(v) for v in range(n)],
+            alive,
+        )
+        exists = any(
+            need_edges & inside <= t & inside <= host_edges for t in all_threshold_edge_sets(n)
+        )
+        assert (removal is not None) == exists
+        if removal is None:
+            stuck += 1
+            continue
+        assert sorted(v for v, _ in removal) == [v for v in range(n) if alive >> v & 1]
+        left, built = alive, set()
+        for v, kind in removal:  # a dominating vertex joins everything still alive
+            left ^= 1 << v
+            if kind is VertexKind.DOMINATING:
+                built |= {(min(v, w), max(v, w)) for w in range(n) if left >> w & 1}
+        assert need_edges & inside <= built <= host_edges & inside
+        assert built in all_threshold_edge_sets(n)
+    assert 50 <= stuck <= 550  # both outcomes are exercised
 
 
 # -- weights ----------------------------------------------------------------------
@@ -225,6 +263,27 @@ def test_cover_json_round_trip():
     data = res.cover.to_json()
     assert data["schema"] == "tropigraph/1"
     assert CoverSolution.from_json(data) == res.cover
+
+
+def test_cover_json_endpoints_converted_before_ordering():
+    data = {"mode": "union", "n": 11, "parts": [[["9", "10"]]]}
+    cover = CoverSolution.from_json(data)
+    assert cover.parts == (frozenset({(9, 10)}),)
+    validate_cover(Graph(11, [(9, 10)]), cover)
+    for bad in ([3, 3], [5.7, 2], [0, 11]):
+        with pytest.raises(ParseError):
+            CoverSolution.from_json({"mode": "union", "n": 11, "parts": [[bad]]})
+
+
+def test_validate_cover_sequences_replay_to_parts():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 8))
+        for cover in (theta(g).cover, theta_hat(g).cover, star_cover(g)):
+            creations = validate_cover(g, cover)
+            assert len(creations) == len(cover.parts)
+            for creation, part in zip(creations, cover.parts):
+                assert ThresholdCertificate(True, creation=creation).replay() == Graph(g.n, part)
 
 
 def test_complement_cover_flips_mode():
