@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
 
 from .demos import fund_overlap, student_pairing
 from .errors import BadParameter, TropigraphError
@@ -102,10 +103,9 @@ def _cmd_slices(args) -> int:
     rep = _load_rep(args.rep)
     slices = project_slices(rep)
     realized = realize_graph(rep.vectors, rep.t, rep.algebra)
-    law = "union" if rep.algebra is MAX_PLUS else "intersection"
-    combined = slices[0]
-    for s in slices[1:]:
-        combined = getattr(combined, law)(s)
+    law, fold = ("union", int.__or__) if rep.algebra is MAX_PLUS else ("intersection", int.__and__)
+    vertices = realized.vertices()
+    combined = [reduce(fold, (s.adjacency_mask(v) for s in slices)) for v in vertices]
     print(
         json.dumps(
             {
@@ -113,7 +113,7 @@ def _cmd_slices(args) -> int:
                 "slices": [to_graph6(s) for s in slices],
                 "realized": to_graph6(realized),
                 "law": law,
-                "law_holds": combined == realized,
+                "law_holds": combined == [realized.adjacency_mask(v) for v in vertices],
             },
             indent=2,
         )

@@ -294,6 +294,9 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph(shift, edges)
 
 
+_ONE_INT = {"path": path, "cycle": cycle, "complete": complete, "star": star, "matching": matching}
+
+
 def generate(family: str, params: Sequence) -> Graph:
     """Dispatch a generator by family name; used by the CLI."""
 
@@ -303,26 +306,14 @@ def generate(family: str, params: Sequence) -> Graph:
         except (TypeError, ValueError) as exc:
             raise BadParameter(f"integer parameters expected, got {list(values)!r}") from exc
 
-    if family == "path":
+    if family in _ONE_INT:
         (n,) = ints(params) if len(params) == 1 else _bad(family, params)
-        return path(n)
-    if family == "cycle":
-        (n,) = ints(params) if len(params) == 1 else _bad(family, params)
-        return cycle(n)
-    if family == "complete":
-        (n,) = ints(params) if len(params) == 1 else _bad(family, params)
-        return complete(n)
+        return _ONE_INT[family](n)
     if family == "complete_multipartite":
         sizes = ints(params)
         if not sizes:
             _bad(family, params)
         return complete_multipartite(sizes)
-    if family == "star":
-        (m,) = ints(params) if len(params) == 1 else _bad(family, params)
-        return star(m)
-    if family == "matching":
-        (k,) = ints(params) if len(params) == 1 else _bad(family, params)
-        return matching(k)
     if family == "caterpillar":
         if not params:
             _bad(family, params)

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from .errors import BadParameter, InvalidCover, NotThreshold, ParseError, TooLarge
-from .graphs import Graph, _bits, _max_clique_masks, alpha, maximum_independent_set
+from .graphs import Graph, _bits, _max_clique_masks, maximum_independent_set
 from .tropical import Rationalish, TropicalValue, as_fraction, slice_masks
 
 _VERTEX_LIMIT_DEFAULT = 10
@@ -239,7 +239,9 @@ class CoverSolution:
     def from_json(data: dict) -> "CoverSolution":
         try:
             mode = CoverMode(data["mode"])
-            n = int(data["n"])
+            n = int(count := data["n"])
+            if type(count) is not int and str(n) != count or n < 0:
+                raise ValueError(f"vertex count {count!r} is not an integer >= 0")
             parts = tuple(
                 frozenset(_json_edge(u, v, n) for u, v in part) for part in data["parts"]
             )
@@ -306,7 +308,12 @@ def complement_cover(cover: CoverSolution) -> CoverSolution:
 
 def star_cover(g: Graph) -> CoverSolution:
     """Union cover by one star per vertex outside a maximum independent set."""
-    keep = sorted(set(range(g.n)) - maximum_independent_set(g))
+    return _stars(g, maximum_independent_set(g))
+
+
+def _stars(g: Graph, independent: frozenset[int]) -> CoverSolution:
+    """Union cover by one star per vertex outside the independent set."""
+    keep = sorted(set(range(g.n)) - independent)
     parts = [frozenset((min(u, v), max(u, v)) for v in g.neighbors(u)) for u in keep]
     return CoverSolution(CoverMode.UNION, _canonical_parts(parts), g.n)
 
@@ -353,10 +360,6 @@ class _CoverSearch:
                 for d in _bits(self.host[c] & far_b):
                     mask |= 1 << index[c, d]
             self.conflict.append(mask)
-
-    def conflict_clique_bound(self) -> int:
-        """Max set of edges that pairwise can never share a threshold class."""
-        return _max_clique_masks(self.conflict, self.m).bit_count()
 
     def decide(self, k: int) -> list[frozenset[tuple[int, int]]] | None:
         """Edge sets of at most k threshold subgraphs covering g, or None."""
@@ -406,35 +409,61 @@ class _CoverSearch:
         ]
 
 
+def _bracket(
+    g: Graph, alpha_limit: int | None = None
+) -> tuple[int, int, CoverSolution, _CoverSearch | None]:
+    """(lower, upper, union cover with upper parts, search or None) for the cover number.
+
+    Edgeless graphs have cover number 0 and threshold graphs 1.  Otherwise
+    the star cover gives n - alpha, which triangle-free graphs attain since
+    their threshold subgraphs are stars; else the lower end is the largest
+    set of edges that pairwise conflict, from the search returned for
+    closing the bracket.
+    """
+    if g.edge_count == 0:
+        return 0, 0, CoverSolution(CoverMode.UNION, (), g.n), None
+    if is_threshold(g).is_threshold:
+        return 1, 1, CoverSolution(CoverMode.UNION, _canonical_parts([g.edges]), g.n), None
+    cover = _stars(g, maximum_independent_set(g, alpha_limit))
+    upper = len(cover.parts)
+    if g.is_triangle_free():
+        return upper, upper, cover, None
+    search = _CoverSearch(g)
+    lower = max(2, _max_clique_masks(search.conflict, search.m).bit_count())
+    assert lower <= upper, "lower bound exceeded n - alpha"
+    return lower, upper, cover, search
+
+
+def _solve(
+    g: Graph, limit: int | None = None, edge_limit: int | None = None
+) -> tuple[int, int, CoverSolution, str | None]:
+    """_bracket(g) closed by the partition search, or with the size gate that stopped it."""
+    vlim = _exact_limit(limit)
+    elim = _EDGE_LIMIT_DEFAULT if edge_limit is None else edge_limit
+    lower, upper, cover, search = _bracket(g)
+    for size, most, what in ((g.n, vlim, "vertices"), (g.edge_count, elim, "edges")):
+        if size > most:
+            return lower, upper, cover, f"exact cover search limited to {most} {what}, got {size}"
+    for k in range(lower, upper):
+        sol = search.decide(k)
+        if sol is not None:
+            return k, k, CoverSolution(CoverMode.UNION, _canonical_parts(sol), g.n), None
+    return upper, upper, cover, None
+
+
 def theta(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> ThetaResult:
     """Exact minimum number of threshold subgraphs whose union is g.
 
     Edgeless graphs have cover number 0 by convention (the empty cover).
-    Raises TooLarge past the exact-search limits; callers wanting bounds
-    should fall back to theta_bounds.
+    The size gates guard only the partition search, so edgeless, threshold
+    and triangle-free graphs are answered past them (triangle-free ones up to
+    the independence search's 32 vertices).  Raises TooLarge when the
+    bracket stays open past the gates; theta_bounds gives that bracket.
     """
-    if g.edge_count == 0:
-        return ThetaResult(0, CoverSolution(CoverMode.UNION, (), g.n))
-    if is_threshold(g).is_threshold:
-        cover = CoverSolution(CoverMode.UNION, _canonical_parts([g.edges]), g.n)
-        return ThetaResult(1, cover)
-    vlim = _exact_limit(limit)
-    elim = _EDGE_LIMIT_DEFAULT if edge_limit is None else edge_limit
-    if g.n > vlim:
-        raise TooLarge(f"exact cover search limited to {vlim} vertices, got {g.n}")
-    if g.edge_count > elim:
-        raise TooLarge(f"exact cover search limited to {elim} edges, got {g.edge_count}")
-
-    search = _CoverSearch(g)
-    lower = max(2, search.conflict_clique_bound())
-    upper_cover = star_cover(g)
-    upper = len(upper_cover.parts)
-    for k in range(lower, upper):
-        sol = search.decide(k)
-        if sol is not None:
-            cover = CoverSolution(CoverMode.UNION, _canonical_parts(sol), g.n)
-            return ThetaResult(k, cover)
-    return ThetaResult(upper, upper_cover)
+    lower, upper, cover, gate = _solve(g, limit, edge_limit)
+    if lower < upper:
+        raise TooLarge(gate)
+    return ThetaResult(upper, cover)
 
 
 def theta_hat(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> ThetaResult:
@@ -448,22 +477,13 @@ def theta_hat(g: Graph, limit: int | None = None, edge_limit: int | None = None)
 
 
 def theta_bounds(g: Graph, limit: int | None = None) -> tuple[int, int]:
-    """(lower, upper) bounds on the cover number; equal when triangle-free.
+    """(lower, upper) bounds on the cover number, without the partition search.
 
-    upper is n - alpha(g); triangle-free graphs attain it exactly.  The
-    general lower bound is the largest set of edges that pairwise can never
-    share a threshold class.
+    Exact for edgeless, threshold and triangle-free graphs; otherwise the
+    lower end is the conflict clique bound and the upper end n - alpha(g),
+    whose independence search takes ``limit``.
     """
-    upper = g.n - alpha(g, limit)
-    if g.edge_count == 0:
-        return (0, upper)
-    if g.is_triangle_free():
-        return (upper, upper)
-    if is_threshold(g).is_threshold:
-        return (1, 1)
-    lower = max(2, _CoverSearch(g).conflict_clique_bound())
-    assert lower <= upper, "lower bound exceeded n - alpha"
-    return (lower, upper)
+    return _bracket(g, limit)[:2]
 
 
 # -- maximum induced threshold subgraph ----------------------------------------

@@ -22,14 +22,7 @@ from typing import Iterator, Sequence
 from .errors import BadParameter, DimensionMismatch, TooLarge, VertexMismatch
 from .graphs import Graph, _bits, to_graph6
 from .representations import Representation, from_cover
-from .threshold import (
-    SCHEMA,
-    CoverSolution,
-    complement_cover,
-    star_cover,
-    theta,
-    theta_bounds,
-)
+from .threshold import SCHEMA, _solve, complement_cover
 from .tropical import (
     Algebra,
     Rationalish,
@@ -143,34 +136,21 @@ class DimensionResult:
         return data
 
 
-def _cover_side(
-    h: Graph, limit: int | None, edge_limit: int | None
-) -> tuple[bool, tuple[int, int], CoverSolution]:
-    """(exact, (lower, upper), union cover of h) for the cover number of h.
-
-    Both bounds are clamped to >= 1; past the search limits they come from
-    theta_bounds and the cover is the star cover.
-    """
-    try:
-        res = theta(h, limit, edge_limit)
-        value = max(res.value, 1)
-        return True, (value, value), res.cover
-    except TooLarge:
-        lo, up = theta_bounds(h)
-        return False, (max(lo, 1), max(up, 1)), star_cover(h)
-
-
 def rho(g: Graph, limit: int | None = None, edge_limit: int | None = None) -> DimensionResult:
-    """Both tropical dimensions of g; degrades to bounds past the search limits.
+    """Both tropical dimensions of g; an open cover bracket is reported as bounds.
 
     rho_max_plus is the threshold cover number of g, rho_min_plus the cover
     number of the complement, both clamped to >= 1 because a representation
     needs at least one coordinate even for cover number 0 (edgeless or
-    complete graphs).
+    complete graphs).  method is "exact" when both cover brackets close (see
+    theta); the reported numbers are their upper ends either way.
     """
-    max_exact, max_bounds, max_cover = _cover_side(g, limit, edge_limit)
-    min_exact, min_bounds, min_cover = _cover_side(g.complement(), limit, edge_limit)
-    exact = max_exact and min_exact
+    sides = []
+    for h in (g, g.complement()):
+        lower, upper, cover, _ = _solve(h, limit, edge_limit)
+        sides.append(((max(lower, 1), max(upper, 1)), cover))
+    (max_bounds, max_cover), (min_bounds, min_cover) = sides
+    exact = max_bounds[0] == max_bounds[1] and min_bounds[0] == min_bounds[1]
     return DimensionResult(
         rho_min_plus=min_bounds[1],
         rho_max_plus=max_bounds[1],

@@ -174,20 +174,22 @@ def test_verify_missing_file_exits_2(capsys, tmp_path):
 
 
 def test_slices_command(capsys, monkeypatch, tmp_path):
-    code, rep_json, _ = run_cli(
-        capsys,
-        ["repr", "--algebra", "max", "--method", "cover"],
-        stdin=to_graph6(path(6)),
-        monkeypatch=monkeypatch,
-    )
-    rep_file = tmp_path / "rep.json"
-    rep_file.write_text(rep_json)
-    code, out, _ = run_cli(capsys, ["slices", "--rep", str(rep_file)])
-    assert code == 0
-    data = json.loads(out)
-    assert data["law"] == "union" and data["law_holds"] is True
-    assert len(data["slices"]) == 3
-    assert parse_graph6(data["realized"]) == path(6)
+    cases = (("max", "cover", "union", 3), ("min", "generic", "intersection", 6))
+    for algebra, method, law, dim in cases:
+        code, rep_json, _ = run_cli(
+            capsys,
+            ["repr", "--algebra", algebra, "--method", method],
+            stdin=to_graph6(path(6)),
+            monkeypatch=monkeypatch,
+        )
+        rep_file = tmp_path / "rep.json"
+        rep_file.write_text(rep_json)
+        code, out, _ = run_cli(capsys, ["slices", "--rep", str(rep_file)])
+        assert code == 0
+        data = json.loads(out)
+        assert data["law"] == law and data["law_holds"] is True
+        assert len(data["slices"]) == dim
+        assert parse_graph6(data["realized"]) == path(6)
 
 
 def test_dim_reports_bounds_past_the_limit(capsys, monkeypatch):

@@ -158,12 +158,18 @@ def test_caterpillar_spec_validation():
 
 
 def test_generate_dispatch():
-    assert generate("path", [4]) == path(4)
+    for family, build in (("path", path), ("cycle", cycle), ("complete", complete),
+                          ("star", star), ("matching", matching)):
+        assert generate(family, ["4"]) == build(4)
+        with pytest.raises(BadParameter, match=f"bad parameters for family '{family}': \\[4, 5\\]"):
+            generate(family, [4, 5])
+        with pytest.raises(BadParameter, match=r"integer parameters expected, got \['x'\]"):
+            generate(family, ["x"])
     assert generate("complete_multipartite", [2, 2]) == complete_multipartite([2, 2])
     assert generate("caterpillar", [2, "1:1", "2:1"]) == caterpillar(
         CaterpillarSpec(2, ((1, 1), (2, 1)))
     )
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="unknown graph family 'petersen'"):
         generate("petersen", [])
     with pytest.raises(BadParameter):
         generate("path", [])

@@ -211,16 +211,36 @@ def test_theta_deterministic():
 
 
 def test_theta_limits():
-    with pytest.raises(TooLarge):
-        theta(cycle(11))
+    # the gates guard only the partition search: triangle-free graphs close
+    # at n - alpha without it
+    g = cycle(11)
+    assert theta(g).value == 6 == g.n - brute_alpha(g)
+    with pytest.raises(TooLarge, match="limited to 10 vertices, got 11"):
+        theta(cycle(11).complement())
     with pytest.raises(TooLarge):
         theta(cycle(10).complement(), edge_limit=20)
 
 
+def test_theta_closes_triangle_free_brackets_past_the_gates():
+    for g in (path(12), matching(8)):
+        res = theta(g)
+        assert res.value == g.n - brute_alpha(g) == len(res.cover.parts)
+        validate_cover(g, res.cover)
+    assert theta(path(20)).value == 10
+
+
+def test_theta_bounds_past_the_independence_limit():
+    assert theta_bounds(complete(40)) == (1, 1)
+    assert theta_bounds(empty(40)) == (0, 0)
+    with pytest.raises(TooLarge, match="independence search limited to 32 vertices"):
+        theta(cycle(33))
+
+
 def test_exact_limit_env_override(monkeypatch):
     monkeypatch.setenv("TROPIGRAPH_EXACT_LIMIT", "5")
-    with pytest.raises(TooLarge):
-        theta(cycle(6))
+    assert theta(cycle(6)).value == 3  # triangle-free: closed without the search
+    with pytest.raises(TooLarge, match="limited to 5 vertices, got 6"):
+        theta(disjoint_union([complete(3)] * 2))
     with pytest.raises(TooLarge):
         max_induced_threshold(path(6))
     monkeypatch.setenv("TROPIGRAPH_EXACT_LIMIT", "11")
@@ -228,6 +248,8 @@ def test_exact_limit_env_override(monkeypatch):
     monkeypatch.setenv("TROPIGRAPH_EXACT_LIMIT", "not-a-number")
     with pytest.raises(BadParameter):
         theta(cycle(6))
+    with pytest.raises(BadParameter):  # read even where no search is needed
+        theta(complete(4))
 
 
 def test_theta_hat_values():
@@ -263,6 +285,14 @@ def test_cover_json_round_trip():
     data = res.cover.to_json()
     assert data["schema"] == "tropigraph/1"
     assert CoverSolution.from_json(data) == res.cover
+
+
+def test_cover_json_vertex_count_is_a_non_negative_integer():
+    data = {"mode": "union", "n": "4", "parts": []}
+    assert CoverSolution.from_json(data).n == 4
+    for bad in (4.7, True, -2, "-2", "04", 4.0, None):
+        with pytest.raises(ParseError):
+            CoverSolution.from_json({**data, "n": bad})
 
 
 def test_cover_json_endpoints_converted_before_ordering():

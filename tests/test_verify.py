@@ -324,6 +324,21 @@ def test_rho_bounds_can_collapse_without_exactness_claim():
     assert verify(matching(6), r.witness_max_plus).valid
 
 
+def test_rho_past_the_independence_limit_raises():
+    for g, n in ((path(40), 40), (cycle(33), 33)):
+        with pytest.raises(TooLarge) as info:
+            rho(g)
+        assert str(info.value) == f"exact independence search limited to 32 vertices, got {n}"
+
+
+def test_rho_is_exact_when_both_brackets_close_past_the_gates():
+    # cycle(5) and its complement are triangle-free, so no search is needed
+    r = rho(cycle(5), limit=3)
+    assert r.method == "exact" and (r.rho_min_plus, r.rho_max_plus) == (3, 3)
+    assert r.min_plus_bounds is None and r.max_plus_bounds is None
+    assert verify(cycle(5), r.witness_min_plus).valid
+
+
 def test_rho_bounds_mode_on_large_graph():
     g = path(12)
     r = rho(g)
